@@ -66,9 +66,9 @@ done
 
 echo "==> miri smoke over the scalar quant kernels (UB gate)"
 if rustup run nightly cargo miri --version >/dev/null 2>&1; then
-    # Miri reports no AVX2, so runtime dispatch takes the scalar bodies
-    # — exactly the reference side of the bit-identity twin tests. Any
-    # UB (out-of-bounds load, invalid transmute) fails the build here.
+    # Miri reports no AVX2, so runtime dispatch takes the scalar bodies,
+    # which the quant tests check against naive loops. Any UB
+    # (out-of-bounds load, invalid transmute) fails the build here.
     rustup run nightly cargo miri test --offline --locked -p semvec --lib quant:: || {
         echo "ci.sh: miri found undefined behavior in the quant kernels" >&2
         exit 1

@@ -15,9 +15,11 @@
 //!   asserted equal to the oracle; screen/rerank breakdown and f32 vs
 //!   f32+i8 index bytes reported);
 //! * **batched** — the query-tiled quantized kernel vs one sequential
-//!   scan per query, at batch widths 1/4/8/16 over the full base
-//!   (hits asserted equal to the oracle and screen counters equal to
-//!   the sequential scan's at every width);
+//!   scan per query, at batch widths 1/2/3/4/8 over the full base —
+//!   grounding runs mostly widths 2 and 3 — with the cost per screened
+//!   (query, document) pair at each width (hits asserted equal to the
+//!   oracle and screen counters equal to the sequential scan's at every
+//!   width);
 //! * **sharded** — the segmented base at 1/2/7 shards, plus an on-disk
 //!   write → checksum-verified reopen of the finest sharding, across
 //!   the full retrieval × scoring × batch cross product (hits asserted
@@ -255,9 +257,17 @@ struct BatchedWidth {
 
 struct BatchedTiming {
     queries: usize,
+    docs: usize,
     seq_ms: f64,
     widths: Vec<BatchedWidth>,
     identical: bool,
+}
+
+impl BatchedTiming {
+    /// Wall nanoseconds per screened (query, document) pair.
+    fn ns_per_pair(&self, ms: f64) -> f64 {
+        ms * 1e6 / (self.queries * self.docs).max(1) as f64
+    }
 }
 
 /// The query-tiled quantized kernel vs one sequential quantized scan
@@ -283,7 +293,7 @@ fn bench_batched(
 
     let mut widths = Vec::new();
     let mut identical = seq.iter().zip(oracle).all(|((h, _), o)| h == o);
-    for width in [1usize, 4, 8, 16] {
+    for width in [1usize, 2, 3, 4, 8] {
         let t = Instant::now();
         let mut batched = Vec::with_capacity(n);
         let mut start = 0;
@@ -309,6 +319,7 @@ fn bench_batched(
     }
     BatchedTiming {
         queries: n,
+        docs: vecs.len(),
         seq_ms,
         widths,
         identical,
@@ -787,9 +798,13 @@ fn json_report(
         .iter()
         .map(|w| {
             format!(
-                "    {{\"width\": {}, \"batch_ms\": {:.1}, \"speedup\": {:.2}}}",
+                concat!(
+                    "    {{\"width\": {}, \"batch_ms\": {:.1}, \"ns_per_pair\": {:.2}, ",
+                    "\"speedup\": {:.2}}}"
+                ),
                 w.width,
                 w.batch_ms,
+                batched.ns_per_pair(w.batch_ms),
                 batched.seq_ms / w.batch_ms,
             )
         })
@@ -902,7 +917,7 @@ fn json_report(
             "\"exact_f32_ms\": {:.1}, \"quant_ms\": {:.1}, \"speedup\": {:.2}, ",
             "\"screened\": {}, \"reranked\": {}, \"rerank_rate\": {:.4}, ",
             "\"bytes_f32\": {}, \"bytes_with_quant\": {}, \"identical\": {}}},\n",
-            "  \"batched\": {{\"queries\": {}, \"k\": {}, \"sigma\": {:.2}, ",
+            "  \"batched\": {{\"queries\": {}, \"docs\": {}, \"k\": {}, \"sigma\": {:.2}, ",
             "\"seq_ms\": {:.1}, \"identical\": {}, \"widths\": [\n",
             "{}\n",
             "  ]}},\n",
@@ -951,6 +966,7 @@ fn json_report(
         scoring.bytes_with_quant,
         scoring.identical,
         batched.queries,
+        batched.docs,
         k,
         sigma,
         batched.seq_ms,
@@ -1137,14 +1153,20 @@ fn main() {
         .iter()
         .find(|w| w.width == 8)
         .map_or(1.0, |w| batched.seq_ms / w.batch_ms);
+    let batched_ns = batched
+        .widths
+        .iter()
+        .map(|w| format!("w{} {:.1}", w.width, batched.ns_per_pair(w.batch_ms)))
+        .collect::<Vec<_>>()
+        .join(", ");
     if smoke {
         println!(
             "perf smoke ok: docs={} build byte-identical ({:.0}ms serial / {:.0}ms \
              x{}), retrieval bit-identical over {} queries (speedup {:.2}), \
              scoring bit-identical over {} queries (speedup {:.2}, rerank rate \
              {:.4}), batched kernel bit-identical over {} queries at widths \
-             1/4/8/16 (w8 speedup {:.2}), e2e answers identical across modes \
-             and cache states",
+             1/2/3/4/8 (ns per pair {}; w8 speedup {:.2}), e2e answers \
+             identical across modes and cache states",
             build.docs,
             build.serial_ms,
             build.parallel_ms,
@@ -1155,6 +1177,7 @@ fn main() {
             scoring_speedup,
             scoring.stats.rerank_rate(),
             batched.queries,
+            batched_ns,
             batched_w8,
         );
         println!(

@@ -1091,6 +1091,29 @@ impl<'a> FileAnalysis<'a> {
 
     // ---- DL005 ------------------------------------------------------------
 
+    /// True when the name at `toks[i]` is called: followed by `(`
+    /// directly or after a turbofish (`name::<…>(`).
+    fn is_call(&self, i: usize) -> bool {
+        let toks = self.toks;
+        let mut j = i + 1;
+        if j < toks.len() && self.is_path_sep(j) && toks.get(j + 2).is_some_and(|t| t.is_punct('<'))
+        {
+            let mut depth = 0usize;
+            for (k, t) in toks.iter().enumerate().skip(j + 2) {
+                if t.is_punct('<') {
+                    depth += 1;
+                } else if t.is_punct('>') {
+                    depth -= 1;
+                    if depth == 0 {
+                        j = k + 1;
+                        break;
+                    }
+                }
+            }
+        }
+        toks.get(j).is_some_and(|t| t.is_punct('('))
+    }
+
     fn check_target_feature_gating(&self, diags: &mut Vec<Diagnostic>) {
         let toks = self.toks;
         let tf_names: BTreeSet<&str> = self
@@ -1114,7 +1137,7 @@ impl<'a> FileAnalysis<'a> {
             };
             if !tf_names.contains(name)
                 || def_name_idxs.contains(&i)
-                || !toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+                || !self.is_call(i)
                 || (i > 0 && toks[i - 1].is_ident("fn"))
                 || self.in_attr(i)
             {

@@ -1,5 +1,6 @@
-// Negative DL005 fixture: the dispatcher verifies the feature before
-// calling the #[target_feature] instantiation.
+// Negative DL005 fixture: the dispatchers verify the feature before
+// calling the #[target_feature] instantiations, by plain name and
+// through a turbofish.
 /// # Safety
 /// Caller must verify AVX2 support.
 #[cfg(target_arch = "x86_64")]
@@ -15,4 +16,21 @@ pub fn scan(xs: &[f32]) -> f32 {
         return unsafe { kernel_avx2(xs) };
     }
     xs.iter().sum()
+}
+
+/// # Safety
+/// Caller must verify AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2<const T: usize>(xs: &[f32]) -> f32 {
+    xs.iter().take(T).sum()
+}
+
+#[cfg(target_arch = "x86_64")]
+pub fn scan_tile(xs: &[f32]) -> f32 {
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the avx2 feature was just verified at runtime.
+        return unsafe { tile_avx2::<3>(xs) };
+    }
+    xs.iter().take(3).sum()
 }

@@ -150,6 +150,17 @@ pub(crate) fn jitter_of(hash: u64, sigma: f32) -> f32 {
     (kgstore::hash::unit_f64(hash) as f32 * 2.0 - 1.0) * sigma * 1.732
 }
 
+/// The largest value [`jitter_of`] can return at a `sigma ≥ 0`: its
+/// expression evaluated at unit value 1.0, which is what `unit_f64`
+/// rounds to in f32 near the top of its range. Each f32 operation of
+/// the expression is monotone in the unit value and rounding is
+/// monotone, so for any score `a`, `fl(a + jitter) ≤ fl(a + jmax)`: a
+/// scan can rule out a pair from `a + jmax` without hashing it.
+#[inline]
+pub(crate) fn jitter_max(sigma: f32) -> f32 {
+    (1.0f32 * 2.0 - 1.0) * sigma * 1.732
+}
+
 /// The naive reference oracle every identity test and perf gate
 /// compares a scan against: score every document with [`dot`] plus
 /// its [`jitter`] (when `sigma > 0`), sort by (score desc, id asc),
@@ -218,6 +229,22 @@ mod tests {
             jitter(42, 7, sigma).to_bits(),
             jitter_of(h, sigma).to_bits()
         );
+    }
+
+    #[test]
+    fn jitter_never_exceeds_its_max() {
+        // At u64::MAX the unit value is 1 − 2⁻⁵³, which rounds to 1.0 in
+        // f32: the top of the range reaches jmax exactly.
+        for sigma in [0.0f32, 1e-6, 0.05, 0.3, 0.6, 1.0, 7.5] {
+            let jmax = jitter_max(sigma);
+            assert_eq!(jitter_of(u64::MAX, sigma).to_bits(), jmax.to_bits());
+            for hash in [0u64, 1 << 11, u64::MAX >> 1, u64::MAX - (1 << 11)] {
+                assert!(
+                    jitter_of(hash, sigma) <= jmax,
+                    "hash {hash:#x} sigma {sigma}"
+                );
+            }
+        }
     }
 
     #[test]

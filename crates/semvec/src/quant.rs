@@ -4,13 +4,17 @@
 //! document) pair. Each segment of [`crate::SegmentedIndex`] keeps,
 //! next to its flat f32 rows, a flat `Vec<i8>` holding the same rows
 //! symmetrically quantized against the segment's own scale
-//! ([`quantize_block`]), so the screening pass runs on 1-byte lanes
-//! the autovectorizer widens to i32.
+//! ([`quantize_block`]), so the screening pass reads one byte per
+//! component. The full scans screen through [`dot_i8_batch`], whose
+//! AVX2 register tile sign-extends each row chunk to i16 once and
+//! multiply-adds it into one to four queries at a time, so a pair costs
+//! about the same at every batch width; the pruned route screens its
+//! candidates one pair at a time through [`dot_i8`].
 //!
 //! **Exactness contract.** Quantization is lossy, so a quantized score
 //! alone may not rank documents the way the exact f32 scan does. The
 //! two-stage top-k
-//! ([`crate::SegmentedIndex::top_k_noisy_quant`]) therefore
+//! ([`crate::SegmentedIndex::top_k_noisy_quant_batch`]) therefore
 //! screens every document with the int8 kernel and then *reranks* with
 //! the exact f32 path every document whose quantized score lands within
 //! a provable per-pair error bound of the quantized k-th score. The
@@ -82,8 +86,8 @@ unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
     dot_i8_body(a, b)
 }
 
-/// Chunked integer dot product over int8 rows, accumulated in i32.
-/// The screening kernel of the two-stage top-k. Runtime-dispatched to
+/// Chunked integer dot product over int8 rows, accumulated in i32:
+/// the pruned route's per-candidate screen. Runtime-dispatched to
 /// an AVX2 build of the same arithmetic where the CPU supports it
 /// (the detection result is cached by the stdlib, so the check is one
 /// atomic load per call).
@@ -98,50 +102,6 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     }
     dot_i8_body(a, b)
 }
-
-/// One query row against every stored row of a flat i8 block,
-/// appending the raw integer dots to `out`. Same arithmetic as
-/// [`dot_i8`] row by row; the batch shape exists so the feature
-/// dispatch happens once per *scan* instead of once per pair, and so
-/// the kernel body inlines into the row loop with the query resident.
-#[inline]
-fn dot_i8_block_body(query: &[i8], rows: &[i8], dim: usize, out: &mut Vec<i32>) {
-    debug_assert_eq!(query.len(), dim);
-    debug_assert_eq!(rows.len() % dim.max(1), 0);
-    out.extend(rows.chunks_exact(dim).map(|row| dot_i8_body(query, row)));
-}
-
-/// AVX2 instantiation of the block screen (see [`dot_i8_avx2`]).
-///
-/// # Safety
-/// Caller must have verified AVX2 support at runtime
-/// (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_block_avx2(query: &[i8], rows: &[i8], dim: usize, out: &mut Vec<i32>) {
-    dot_i8_block_body(query, rows, dim, out);
-}
-
-/// Runtime-dispatched batch screen over a flat i8 block.
-#[inline]
-pub(crate) fn dot_i8_block(query: &[i8], rows: &[i8], dim: usize, out: &mut Vec<i32>) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 feature was just verified at runtime.
-            unsafe { dot_i8_block_avx2(query, rows, dim, out) };
-            return;
-        }
-    }
-    dot_i8_block_body(query, rows, dim, out);
-}
-
-/// How many queries one register tile of the batched kernels carries.
-/// Four ymm accumulators (one per query) plus the two widened halves of
-/// the shared row load and a pmaddwd temporary stay comfortably inside
-/// the sixteen AVX2 vector registers, so each document chunk pulled
-/// from memory is multiplied into four queries before it leaves them.
-const QUERY_TILE: usize = 4;
 
 /// Bytes of document rows per cache tile of the batched kernels. A tile
 /// this size stays L1-resident while every query of the batch passes
@@ -160,8 +120,8 @@ fn rows_per_tile(row_bytes: usize) -> usize {
 /// `out` vector in row order. Cache-tiled over document chunks — each
 /// chunk is walked by every query of the batch while it is still
 /// cache-resident — with each (query, row) pair running [`dot_i8_body`]
-/// itself, so each `out[q]` is exactly what [`dot_i8_block_body`] would
-/// have produced for that query alone.
+/// itself, so each `out[q]` is exactly what [`dot_i8`] returns for that
+/// query against each row.
 fn dot_i8_batch_body(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mut [Vec<i32>]) {
     debug_assert_eq!(queries.len(), out.len());
     if dim == 0 || queries.is_empty() {
@@ -179,76 +139,91 @@ fn dot_i8_batch_body(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mut [Vec<
     }
 }
 
+/// How many queries one register tile of the AVX2 batched screen
+/// carries at most. Four ymm accumulators (one per query) plus the two
+/// widened halves of the shared row load and a pmaddwd temporary stay
+/// comfortably inside the sixteen AVX2 vector registers, so each
+/// document chunk pulled from memory is multiplied into four queries
+/// before it leaves them.
+#[cfg(target_arch = "x86_64")]
+const QUERY_TILE: usize = 4;
+
 /// Width of the explicit AVX2 inner step: one 256-bit row load, widened
 /// to two ymm of i16 lanes for the pmaddwd multiply-adds.
 #[cfg(target_arch = "x86_64")]
 const AVX2_CHUNK: usize = 32;
 
-/// One document row against [`QUERY_TILE`] pre-widened query rows — the
-/// register tile of the AVX2 batched screen. The row chunk is loaded
-/// and sign-extended to i16 once, then multiply-added (pmaddwd) into
-/// one i32 ymm accumulator per query. Every product and sum is exact
+/// The register tile of the AVX2 batched screen: `T` queries (1 to
+/// [`QUERY_TILE`]) against every row of one cache tile, each dot
+/// appended to its query's `out` vector in row order. `wide` holds the
+/// `T` queries' first `split` elements sign-extended to i16, query
+/// after query. Each 32-byte row chunk is loaded and sign-extended once,
+/// then multiply-added (pmaddwd) into one i32 ymm accumulator per
+/// query; the `dim % 32` tail is scalar. Every product and sum is exact
 /// integer arithmetic (any i8·i8 pair sum fits i32 with room to spare:
-/// two products ≤ 2·2¹⁴ per pmaddwd lane, and a lane accumulates
-/// dim/2 of them), so the returned dots equal [`dot_i8_body`]'s bit for
-/// bit — only the association of the additions differs, which integers
+/// two products ≤ 2·2¹⁴ per pmaddwd lane, and a lane accumulates dim/2
+/// of them), so the dots equal [`dot_i8_body`]'s bit for bit at every
+/// `T` — only the association of the additions differs, which integers
 /// cannot observe.
 ///
 /// # Safety
-/// Requires AVX2 (caller dispatches), `split % AVX2_CHUNK == 0`,
-/// `split <= row.len()`, and every `wide[t]` at least `split` i16 long.
+/// Requires AVX2 (caller dispatches), `split % AVX2_CHUNK == 0` and
+/// `split <= dim`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn dot_i8_row_x4_avx2(
-    wide: [&[i16]; QUERY_TILE],
-    qs: [&[i8]; QUERY_TILE],
-    row: &[i8],
+unsafe fn dot_i8_tile_avx2<const T: usize>(
+    wide: &[i16],
+    queries: &[&[i8]],
+    tile: &[i8],
+    dim: usize,
     split: usize,
-) -> [i32; QUERY_TILE] {
+    out: &mut [Vec<i32>],
+) {
     use std::arch::x86_64::*;
-    // SAFETY: guaranteed by this fn's `# Safety` contract — AVX2 is
-    // enabled, `split` is a multiple of AVX2_CHUNK no longer than the
-    // row, and every `wide[t]` holds at least `split` i16 elements, so
-    // all 256-bit loads stay in bounds.
-    unsafe {
-        let mut acc = [_mm256_setzero_si256(); QUERY_TILE];
-        let mut i = 0;
-        while i < split {
-            let r = _mm256_loadu_si256(row.as_ptr().add(i) as *const __m256i);
-            let rlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(r));
-            let rhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(r));
-            for t in 0..QUERY_TILE {
-                let qlo = _mm256_loadu_si256(wide[t].as_ptr().add(i) as *const __m256i);
-                let qhi = _mm256_loadu_si256(wide[t].as_ptr().add(i + 16) as *const __m256i);
-                acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(rlo, qlo));
-                acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(rhi, qhi));
+    let w: [&[i16]; T] = std::array::from_fn(|t| &wide[t * split..(t + 1) * split]);
+    let qs: [&[i8]; T] = std::array::from_fn(|t| queries[t]);
+    for row in tile.chunks_exact(dim) {
+        // SAFETY: guaranteed by this fn's `# Safety` contract — AVX2 is
+        // enabled, and `split` is a multiple of AVX2_CHUNK no longer than
+        // the row, while every `w[t]` is exactly `split` i16 long, so all
+        // 256-bit loads stay in bounds.
+        unsafe {
+            let mut acc = [_mm256_setzero_si256(); T];
+            let mut i = 0;
+            while i < split {
+                let r = _mm256_loadu_si256(row.as_ptr().add(i) as *const __m256i);
+                let rlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(r));
+                let rhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(r));
+                for t in 0..T {
+                    let qlo = _mm256_loadu_si256(w[t].as_ptr().add(i) as *const __m256i);
+                    let qhi = _mm256_loadu_si256(w[t].as_ptr().add(i + 16) as *const __m256i);
+                    acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(rlo, qlo));
+                    acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(rhi, qhi));
+                }
+                i += AVX2_CHUNK;
             }
-            i += AVX2_CHUNK;
-        }
-        let mut dots = [0i32; QUERY_TILE];
-        for t in 0..QUERY_TILE {
-            let lo = _mm256_castsi256_si128(acc[t]);
-            let hi = _mm256_extracti128_si256::<1>(acc[t]);
-            let s = _mm_add_epi32(lo, hi);
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b0100_1110>(s));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b1011_0001>(s));
-            let mut sum = _mm_cvtsi128_si32(s);
-            for (x, y) in qs[t][split..].iter().zip(&row[split..]) {
-                sum += *x as i32 * *y as i32;
+            for t in 0..T {
+                let lo = _mm256_castsi256_si128(acc[t]);
+                let hi = _mm256_extracti128_si256::<1>(acc[t]);
+                let s = _mm_add_epi32(lo, hi);
+                let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b0100_1110>(s));
+                let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b1011_0001>(s));
+                let mut sum = _mm_cvtsi128_si32(s);
+                for (x, y) in qs[t][split..].iter().zip(&row[split..]) {
+                    sum += *x as i32 * *y as i32;
+                }
+                out[t].push(sum);
             }
-            dots[t] = sum;
         }
-        dots
     }
 }
 
 /// AVX2 batched screen: the vectorizable prefix of every query is
-/// sign-extended to i16 once up front, then document tiles are walked
-/// in register groups of [`QUERY_TILE`] queries via
-/// [`dot_i8_row_x4_avx2`]; a trailing group of fewer queries falls
-/// through to the shared scalar body per row. Integer arithmetic
-/// throughout, so the output is bit-identical to
-/// [`dot_i8_batch_body`]'s.
+/// sign-extended to i16 once up front, then each cache tile of document
+/// rows is walked in full register tiles of [`QUERY_TILE`] queries and
+/// one narrower tile for the 1–3 queries left over, all through
+/// [`dot_i8_tile_avx2`]. Integer arithmetic throughout, so the output is
+/// bit-identical to [`dot_i8_batch_body`]'s.
 ///
 /// # Safety
 /// Caller must have verified AVX2 support at runtime
@@ -271,28 +246,21 @@ unsafe fn dot_i8_batch_avx2(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mu
     while start < rows.len() {
         let tile = &rows[start..rows.len().min(start + tile_elems)];
         let mut g = 0;
-        while g + QUERY_TILE <= queries.len() {
-            let w = [
-                &wide[g * split..(g + 1) * split],
-                &wide[(g + 1) * split..(g + 2) * split],
-                &wide[(g + 2) * split..(g + 3) * split],
-                &wide[(g + 3) * split..(g + 4) * split],
-            ];
-            let qs = [queries[g], queries[g + 1], queries[g + 2], queries[g + 3]];
-            for row in tile.chunks_exact(dim) {
-                // SAFETY: AVX2 verified by the dispatcher; split is a
-                // multiple of AVX2_CHUNK, no longer than the row, and
-                // each w[t] slice is exactly split elements.
-                let d = unsafe { dot_i8_row_x4_avx2(w, qs, row, split) };
-                for t in 0..QUERY_TILE {
-                    out[g + t].push(d[t]);
+        while g < queries.len() {
+            let t = (queries.len() - g).min(QUERY_TILE);
+            let w = &wide[g * split..(g + t) * split];
+            let (qs, o) = (&queries[g..g + t], &mut out[g..g + t]);
+            // SAFETY: AVX2 verified by the dispatcher; split is a
+            // multiple of AVX2_CHUNK no longer than dim.
+            unsafe {
+                match t {
+                    1 => dot_i8_tile_avx2::<1>(w, qs, tile, dim, split, o),
+                    2 => dot_i8_tile_avx2::<2>(w, qs, tile, dim, split, o),
+                    3 => dot_i8_tile_avx2::<3>(w, qs, tile, dim, split, o),
+                    _ => dot_i8_tile_avx2::<QUERY_TILE>(w, qs, tile, dim, split, o),
                 }
             }
-            g += QUERY_TILE;
-        }
-        for t in g..queries.len() {
-            let query = queries[t];
-            out[t].extend(tile.chunks_exact(dim).map(|row| dot_i8_body(query, row)));
+            g += t;
         }
         start += tile_elems;
     }
@@ -301,22 +269,14 @@ unsafe fn dot_i8_batch_avx2(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mu
 /// Query-tiled batch screen: every query of the batch against every row
 /// of a flat i8 block, each query's raw dots appended to its `out`
 /// vector in row order. Runtime-dispatched to the explicit AVX2 kernel
-/// like [`dot_i8`]; bit-identical per query to scanning with [`dot_i8`]
-/// row by row (integer arithmetic is exact in any order — the tiling
-/// only reorders which pair is computed when, and pmaddwd only
-/// re-associates the additions).
+/// like [`dot_i8`] — at every batch width, one included; bit-identical
+/// per query to scanning with [`dot_i8`] row by row (integer arithmetic
+/// is exact in any order — the tiling only reorders which pair is
+/// computed when, and pmaddwd only re-associates the additions).
 pub fn dot_i8_batch(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mut [Vec<i32>]) {
     assert_eq!(queries.len(), out.len(), "one output vec per query");
     for q in queries {
         assert_eq!(q.len(), dim, "dimension mismatch");
-    }
-    if queries.len() == 1 {
-        // A batch of one gains nothing from cache tiling (there is no
-        // second query to share a tile with) but still pays the tile
-        // bookkeeping; route it to the sequential block kernel, which
-        // computes the exact same integer dots.
-        dot_i8_block(queries[0], rows, dim, &mut out[0]);
-        return;
     }
     #[cfg(target_arch = "x86_64")]
     {
@@ -460,13 +420,19 @@ impl ScreenStats {
 mod tests {
     use super::*;
 
+    /// Naive i32 dot of two int8 rows: the reference of the kernel
+    /// tests.
+    fn naive_dot(a: &[i8], b: &[i8]) -> i32 {
+        a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+    }
+
     #[test]
     fn dot_i8_matches_naive_loop() {
         // Lengths straddling the lane width, values across the range.
         for len in [0usize, 1, 7, 8, 9, 16, 63, 256] {
             let a: Vec<i8> = (0..len).map(|i| ((i * 37) % 255) as i8).collect();
             let b: Vec<i8> = (0..len).map(|i| ((i * 91 + 13) % 255) as i8).collect();
-            let naive: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
+            let naive = naive_dot(&a, &b);
             assert_eq!(dot_i8(&a, &b), naive, "len {len}");
         }
     }
@@ -479,12 +445,11 @@ mod tests {
         for dim in [1usize, 7, 17] {
             let a: Vec<i8> = (0..dim).map(|i| (i as i32 * 23 - 60) as i8).collect();
             let b: Vec<i8> = (0..dim).map(|i| (i as i32 * 17 - 40) as i8).collect();
-            let naive: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
+            let naive = naive_dot(&a, &b);
             assert_eq!(dot_i8(&a, &b), naive, "dim {dim}");
-            // The batched kernel must agree at the same dimensions, in
-            // both the register-tiled (4 queries) and the trailing
-            // (single query) arm.
-            for width in [1usize, 4] {
+            // The batched kernel must agree at the same dimensions in
+            // every register-tile width.
+            for width in 1usize..=4 {
                 let queries: Vec<&[i8]> = std::iter::repeat_n(a.as_slice(), width).collect();
                 let mut out = vec![Vec::new(); width];
                 dot_i8_batch(&queries, &b, dim, &mut out);
@@ -496,47 +461,50 @@ mod tests {
     }
 
     #[test]
-    fn batched_screen_matches_sequential_kernel() {
-        // Widths straddling the register tile, a block spanning several
-        // cache tiles (dim 96 → 170 rows/tile at 16 KiB), and values
-        // across the i8 range.
-        let dim = 96usize;
-        let rows_n = 400usize;
-        let rows: Vec<i8> = (0..rows_n * dim)
-            .map(|i| ((i * 37 + 11) % 255) as i8)
-            .collect();
-        let queries: Vec<Vec<i8>> = (0..9)
-            .map(|q| (0..dim).map(|i| ((i * 91 + q * 13) % 255) as i8).collect())
-            .collect();
-        for width in [0usize, 1, 2, 4, 5, 8, 9] {
-            let refs: Vec<&[i8]> = queries[..width].iter().map(|q| q.as_slice()).collect();
-            let mut out = vec![Vec::new(); width];
-            dot_i8_batch(&refs, &rows, dim, &mut out);
-            for (q, o) in out.iter().enumerate() {
-                let mut seq = Vec::new();
-                dot_i8_block(&queries[q], &rows, dim, &mut seq);
-                assert_eq!(o, &seq, "width {width} query {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn width_one_batch_routes_through_sequential_kernel_bitwise() {
-        // Pinned regression for the width-1 dispatch: a batch of one
-        // must produce exactly the sequential block kernel's output
-        // (it now *is* that kernel — no tiling bookkeeping), across
-        // dims straddling the AVX2 chunk and multi-tile row counts.
-        for dim in [7usize, 32, 96, 256] {
-            let rows_n = 300usize;
-            let rows: Vec<i8> = (0..rows_n * dim)
+    fn batched_screen_matches_naive_loop_at_every_width() {
+        // Both kernel paths — the dispatched one (the AVX2 register
+        // tiles on an AVX2 host) and the non-AVX2 fallback body called
+        // directly — against a naive loop, at widths 0–9 (full tiles of
+        // four plus every remainder), dims on both sides of the 32-byte
+        // AVX2 chunk, and row counts spanning several 16 KiB cache
+        // tiles. Query 0 and row 0 are all +127, query 1 and row 1 all
+        // −127, so the extreme sums ±127²·dim are in every output.
+        type BatchKernel = fn(&[&[i8]], &[i8], usize, &mut [Vec<i32>]);
+        let kernels: [(&str, BatchKernel); 2] = [
+            ("dispatched", dot_i8_batch),
+            ("fallback body", dot_i8_batch_body),
+        ];
+        for dim in [1usize, 7, 31, 32, 33, 96, 256] {
+            let rows_n = 3 * rows_per_tile(dim) + 5;
+            let mut rows: Vec<i8> = (0..rows_n * dim)
                 .map(|i| ((i * 37 + 11) % 255) as i8)
                 .collect();
-            let query: Vec<i8> = (0..dim).map(|i| ((i * 91 + 13) % 255) as i8).collect();
-            let mut batch = vec![Vec::new()];
-            dot_i8_batch(&[query.as_slice()], &rows, dim, &mut batch);
-            let mut seq = Vec::new();
-            dot_i8_block(&query, &rows, dim, &mut seq);
-            assert_eq!(batch[0], seq, "dim {dim}");
+            rows[..dim].fill(127);
+            rows[dim..2 * dim].fill(-127);
+            let queries: Vec<Vec<i8>> = (0..9)
+                .map(|q| match q {
+                    0 => vec![127; dim],
+                    1 => vec![-127; dim],
+                    _ => (0..dim).map(|i| ((i * 91 + q * 13) % 255) as i8).collect(),
+                })
+                .collect();
+            let naive: Vec<Vec<i32>> = queries
+                .iter()
+                .map(|q| {
+                    rows.chunks_exact(dim)
+                        .map(|row| naive_dot(q, row))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(naive[0][1], -127 * 127 * dim as i32);
+            for width in 0usize..=9 {
+                let refs: Vec<&[i8]> = queries[..width].iter().map(|q| q.as_slice()).collect();
+                for (kernel, run) in kernels {
+                    let mut out = vec![Vec::new(); width];
+                    run(&refs, &rows, dim, &mut out);
+                    assert_eq!(out, naive[..width], "{kernel} dim {dim} width {width}");
+                }
+            }
         }
     }
 

@@ -34,6 +34,24 @@
 //!   survives the margin, and the reranked heap (exact scores, total
 //!   order) equals the exact scan's. Screen/rerank *counters* depend
 //!   on the segment count (the margins differ); hits never do.
+//!
+//!   The scan applies the margin **while it screens**, in one pass.
+//!   `B_max` is computed over every segment before the first row is
+//!   screened, so the running margin `θ̂_run − 2·B_max` (`θ̂_run` the
+//!   k-th best screened score offered so far, −∞ before k offers) can
+//!   only rise, and `θ̂_run ≤ θ̂`. A pair screening below the running
+//!   margin is dropped: it is below the final margin `θ̂ − 2·B_max`
+//!   too, so the rerank would skip it; and since `B_max ≥ 0` it is
+//!   strictly below the current k-th screened score, so offering it to
+//!   the quantized heap would be a no-op. The quantized heap, hence
+//!   `θ̂`, the rerank set and the `reranked` counter are therefore
+//!   exactly those of screening every document first and applying the
+//!   final margin after; the kept pairs are filtered against the final
+//!   margin and reranked. A pair is dropped before its jitter is
+//!   hashed when `fl(a + jmax)` is below the margin (`a` the
+//!   dequantized dot, `jmax` the largest jitter): every f32 operation
+//!   of the jitter is monotone in its unit value, so its screened
+//!   score `fl(a + jitter) ≤ fl(a + jmax)`.
 //! * Pruned scans score the token-postings candidates exactly (or
 //!   int8-screen then rerank them), then *verify* the result against
 //!   the zero-overlap ceiling (see [`DEFAULT_CEILING`]): every
@@ -49,8 +67,8 @@
 //! indexes return identical bits.
 
 use crate::embed::{dot, Embedder};
-use crate::index::{jitter, jitter_of, Hit, NoisyQuery, TopK};
-use crate::quant::{dot_i8, dot_i8_batch, dot_i8_block, pair_error_bound, quantize_block};
+use crate::index::{jitter, jitter_max, jitter_of, Hit, NoisyQuery, TopK};
+use crate::quant::{dot_i8, dot_i8_batch, pair_error_bound, quantize_block};
 use crate::quant::{QuantQuery, ScreenStats};
 use crate::segfile::{AlignedBuf, Col, SegFileError};
 use crate::token::normalize;
@@ -550,10 +568,8 @@ impl SegmentedIndex {
         top.into_sorted()
     }
 
-    /// Quantized two-stage noisy top-k over all segments: per-segment
-    /// int8 screen, single global margin `θ̂ − 2·B_max`, exact f32
-    /// rerank. Hits bit-identical to [`crate::reference_top_k`] (see
-    /// the module-level proof sketch).
+    /// Quantized two-stage noisy top-k over all segments: a one-slot
+    /// [`top_k_noisy_quant_batch`](SegmentedIndex::top_k_noisy_quant_batch).
     pub fn top_k_noisy_quant(
         &self,
         query: &[f32],
@@ -561,60 +577,13 @@ impl SegmentedIndex {
         sigma: f32,
         salt: u64,
     ) -> (Vec<Hit>, ScreenStats) {
-        assert_eq!(query.len(), self.dim, "dimension mismatch");
-        let n = self.n_docs;
-        if k == 0 || n == 0 {
-            return (Vec::new(), ScreenStats::default());
-        }
-        let sigma = sigma.max(0.0);
-        let qq = QuantQuery::new(query);
-        let mut screened = Vec::with_capacity(n);
-        let mut quant_top = TopK::new(k);
-        let mut b_max = 0.0f64;
-        let mut raw: Vec<i32> = Vec::new();
-        for seg in &self.segments {
-            let factor = qq.scale() * seg.scale;
-            b_max = b_max.max(self.seg_bound(&qq, seg));
-            raw.clear();
-            raw.reserve(seg.rows);
-            dot_i8_block(qq.row(), seg.quant.as_slice(), self.dim, &mut raw);
-            for (r, &d) in raw.iter().enumerate() {
-                let id = seg.base + r;
-                let mut s = d as f32 * factor;
-                if sigma > 0.0 {
-                    s += jitter(salt, id, sigma);
-                }
-                screened.push(s);
-                quant_top.offer(Hit { id, score: s });
-            }
-        }
-        let margin = match quant_top.bound() {
-            Some(kth) => kth.score as f64 - 2.0 * b_max,
-            None => f64::NEG_INFINITY,
+        let slot = NoisyQuery {
+            vector: query,
+            salt,
         };
-        let mut top = TopK::new(k);
-        let mut reranked = 0u64;
-        for seg in &self.segments {
-            for r in 0..seg.rows {
-                let id = seg.base + r;
-                if (screened[id] as f64) < margin {
-                    continue;
-                }
-                reranked += 1;
-                let mut score = dot(query, seg.row(r));
-                if sigma > 0.0 {
-                    score += jitter(salt, id, sigma);
-                }
-                top.offer(Hit { id, score });
-            }
-        }
-        (
-            top.into_sorted(),
-            ScreenStats {
-                screened: n as u64,
-                reranked,
-            },
-        )
+        self.top_k_noisy_quant_batch(&[slot], k, sigma)
+            .pop()
+            .expect("one slot in, one result out")
     }
 
     /// Per-(query, segment) quantization error bound.
@@ -670,11 +639,16 @@ impl SegmentedIndex {
     }
 
     /// Batched quantized noisy top-k: per-segment batched int8 screen,
-    /// then each query's global margin and exact rerank exactly as in
-    /// the sequential path. Slot `i`'s hits and counters are
-    /// bit-identical to
-    /// [`top_k_noisy_quant`](SegmentedIndex::top_k_noisy_quant) for
-    /// that slot.
+    /// single global margin `θ̂ − 2·B_max` per query, exact f32 rerank.
+    /// Hits bit-identical to [`crate::reference_top_k`] per slot (see
+    /// the module-level proof sketch).
+    ///
+    /// One pass: each query's `B_max` is fixed before the screen, so
+    /// its running margin only rises, and the screen keeps just the
+    /// pairs at or above it — the only ones that can enter the
+    /// quantized heap or survive the final margin. A pair whose score
+    /// plus the largest possible jitter (`jitter_max`) is already
+    /// below the margin is dropped before its jitter is hashed.
     pub fn top_k_noisy_quant_batch(
         &self,
         queries: &[NoisyQuery<'_>],
@@ -689,11 +663,24 @@ impl SegmentedIndex {
             return vec![(Vec::new(), ScreenStats::default()); queries.len()];
         }
         let sigma = sigma.max(0.0);
+        let jmax = jitter_max(sigma);
         let qqs: Vec<QuantQuery> = queries.iter().map(|q| QuantQuery::new(q.vector)).collect();
         let qrows: Vec<&[i8]> = qqs.iter().map(|qq| qq.row()).collect();
-        let mut screened: Vec<Vec<f32>> = queries.iter().map(|_| Vec::with_capacity(n)).collect();
+        let b_max: Vec<f64> = qqs
+            .iter()
+            .map(|qq| {
+                self.segments
+                    .iter()
+                    .map(|seg| self.seg_bound(qq, seg))
+                    .fold(0.0, f64::max)
+            })
+            .collect();
+        let margin_of = |top: &TopK, b_max: f64| match top.bound() {
+            Some(kth) => kth.score as f64 - 2.0 * b_max,
+            None => f64::NEG_INFINITY,
+        };
         let mut quant_tops: Vec<TopK> = queries.iter().map(|_| TopK::new(k)).collect();
-        let mut b_max = vec![0.0f64; queries.len()];
+        let mut kept: Vec<Vec<Hit>> = vec![Vec::new(); queries.len()];
         let mut raw: Vec<Vec<i32>> = vec![Vec::new(); queries.len()];
         for seg in &self.segments {
             for r in raw.iter_mut() {
@@ -701,44 +688,61 @@ impl SegmentedIndex {
                 r.reserve(seg.rows);
             }
             dot_i8_batch(&qrows, seg.quant.as_slice(), self.dim, &mut raw);
-            for (slot, ((q, qq), seg_raw)) in queries.iter().zip(&qqs).zip(raw.iter()).enumerate() {
-                let factor = qq.scale() * seg.scale;
-                b_max[slot] = b_max[slot].max(self.seg_bound(qq, seg));
-                for (r, &d) in seg_raw.iter().enumerate() {
-                    let id = seg.base + r;
-                    let mut s = d as f32 * factor;
-                    if sigma > 0.0 {
-                        s += jitter(q.salt, id, sigma);
+            for slot in 0..queries.len() {
+                let (q, top, kept) = (&queries[slot], &mut quant_tops[slot], &mut kept[slot]);
+                let factor = qqs[slot].scale() * seg.scale;
+                let mut margin = margin_of(top, b_max[slot]);
+                for (c, dots) in raw[slot].chunks(64).enumerate() {
+                    // Bit j is set unless even the largest jitter
+                    // leaves pair j below the margin so far. Built
+                    // without branches: the test passes for a
+                    // data-dependent share of pairs that the branch
+                    // predictor cannot learn.
+                    let mut maybe = 0u64;
+                    for (j, &d) in dots.iter().enumerate() {
+                        let below = ((d as f32 * factor + jmax) as f64) < margin;
+                        maybe |= (u64::from(below) ^ 1) << j;
                     }
-                    screened[slot].push(s);
-                    quant_tops[slot].offer(Hit { id, score: s });
+                    while maybe != 0 {
+                        let j = maybe.trailing_zeros() as usize;
+                        maybe &= maybe - 1;
+                        let id = seg.base + c * 64 + j;
+                        let a = dots[j] as f32 * factor;
+                        let s = if sigma > 0.0 {
+                            a + jitter(q.salt, id, sigma)
+                        } else {
+                            a
+                        };
+                        if (s as f64) < margin {
+                            continue;
+                        }
+                        let hit = Hit { id, score: s };
+                        top.offer(hit);
+                        kept.push(hit);
+                        margin = margin_of(top, b_max[slot]);
+                    }
                 }
             }
         }
         queries
             .iter()
-            .enumerate()
             .zip(quant_tops)
-            .map(|((slot, q), quant_top)| {
-                let margin = match quant_top.bound() {
-                    Some(kth) => kth.score as f64 - 2.0 * b_max[slot],
-                    None => f64::NEG_INFINITY,
-                };
+            .zip(kept)
+            .zip(b_max)
+            .map(|(((q, quant_top), kept), b_max)| {
+                let margin = margin_of(&quant_top, b_max);
                 let mut top = TopK::new(k);
                 let mut reranked = 0u64;
-                for seg in &self.segments {
-                    for r in 0..seg.rows {
-                        let id = seg.base + r;
-                        if (screened[slot][id] as f64) < margin {
-                            continue;
-                        }
-                        reranked += 1;
-                        let mut score = dot(q.vector, seg.row(r));
-                        if sigma > 0.0 {
-                            score += jitter(q.salt, id, sigma);
-                        }
-                        top.offer(Hit { id, score });
+                for h in kept {
+                    if (h.score as f64) < margin {
+                        continue;
                     }
+                    reranked += 1;
+                    let mut score = dot(q.vector, self.vector(h.id));
+                    if sigma > 0.0 {
+                        score += jitter(q.salt, h.id, sigma);
+                    }
+                    top.offer(Hit { id: h.id, score });
                 }
                 (
                     top.into_sorted(),

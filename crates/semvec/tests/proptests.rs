@@ -10,8 +10,8 @@
 
 use kgstore::rng::{check, StdRng};
 use semvec::{
-    cosine, dot, dot_i8, pair_error_bound, quantize_block, reference_top_k, BatchSlot, Embedder,
-    Hit, NoisyQuery, QuantQuery, QueryStyle, SegmentedIndex,
+    cosine, dot, dot_i8, jitter, pair_error_bound, quantize_block, reference_top_k, BatchSlot,
+    Embedder, Hit, NoisyQuery, QuantQuery, QueryStyle, SegmentedIndex,
 };
 
 /// Character soup: letters and spaces.
@@ -316,9 +316,66 @@ fn quant_error_bound_never_violated() {
     });
 }
 
+/// Every segment of `index` re-quantized with `quantize_block`: `q`'s
+/// error bound against the segment, the segment's scale and its int8
+/// shadow.
+fn segment_shadows(index: &SegmentedIndex, q: &QuantQuery) -> Vec<(f64, f32, Vec<i8>)> {
+    let dim = index.dim();
+    (0..index.num_segments())
+        .map(|s| {
+            let base = s * index.seg_rows();
+            let rows = index.segment_rows(s);
+            let flat: Vec<f32> = (base..base + rows)
+                .flat_map(|id| index.vector(id).iter().copied())
+                .collect();
+            let (shadow, scale, max_norm) = quantize_block(dim, rows, &flat);
+            assert_eq!(scale.to_bits(), index.segment_scale(s).to_bits());
+            let (qs, qn) = (q.scale() as f64, q.norm() as f64);
+            let bound = pair_error_bound(qs, qn, scale as f64, max_norm as f64, dim);
+            (bound, scale, shadow)
+        })
+        .collect()
+}
+
+/// How many documents the two-stage scan must rerank, counted from the
+/// definition with public building blocks only: every document screened
+/// with `dot_i8` against its re-quantized segment plus its jitter, `θ̂`
+/// the k-th best screened score (−∞ when k > n), and the count of
+/// documents screening at or above `θ̂ − 2·B_max`.
+fn reranked_by_definition(
+    index: &SegmentedIndex,
+    query: &[f32],
+    k: usize,
+    sigma: f32,
+    salt: u64,
+) -> u64 {
+    let dim = index.dim();
+    let qq = QuantQuery::new(query);
+    let shadows = segment_shadows(index, &qq);
+    let b_max = shadows.iter().map(|s| s.0).fold(0.0, f64::max);
+    let mut screened: Vec<f32> = Vec::with_capacity(index.len());
+    for (s, (_, scale, shadow)) in shadows.iter().enumerate() {
+        let factor = qq.scale() * scale;
+        for (r, row) in shadow.chunks_exact(dim).enumerate() {
+            let mut score = dot_i8(qq.row(), row) as f32 * factor;
+            if sigma > 0.0 {
+                score += jitter(salt, s * index.seg_rows() + r, sigma);
+            }
+            screened.push(score);
+        }
+    }
+    let mut sorted = screened.clone();
+    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite screened scores"));
+    let margin = match sorted.get(k - 1) {
+        Some(&kth) => kth as f64 - 2.0 * b_max,
+        None => f64::NEG_INFINITY,
+    };
+    screened.iter().filter(|&&s| s as f64 >= margin).count() as u64
+}
+
 /// Batched full scans over `index` equal the oracle per slot, in both
-/// scoring engines, with quantized counters equal to the sequential
-/// scan's.
+/// scoring engines, with quantized counters equal to their definition
+/// ([`reranked_by_definition`]).
 fn batched_full_equals_oracle(
     emb: &Embedder,
     index: &SegmentedIndex,
@@ -341,8 +398,13 @@ fn batched_full_equals_oracle(
         let oracle = reference_top_k(index, s.vector, k, sigma, s.salt);
         assert_eq!(got, &oracle, "full {at}");
         assert_eq!(qhits, &oracle, "full quant {at}");
-        let seq = index.top_k_noisy_quant(s.vector, k, sigma, s.salt).1;
-        assert_eq!(qstats, &seq, "full quant counters {at}");
+        assert_eq!(
+            qstats.screened,
+            index.len() as u64,
+            "full quant screened {at}"
+        );
+        let want = reranked_by_definition(index, s.vector, k, sigma.max(0.0), s.salt);
+        assert_eq!(qstats.reranked, want, "full quant reranked {at}");
     }
 }
 
@@ -387,9 +449,10 @@ fn batched_pruned_equals_oracle(
 }
 
 /// The grid both batched properties run first: a 60-sentence corpus
-/// at one and at four segments, batch widths 0, 1 and through every
-/// register-tile remainder (the last slot of each width ≥ 2 duplicating
-/// the first, with the same salt), two sigmas and three k — through
+/// at one and at four segments, batch widths 0 to 9 — every
+/// register-tile remainder after zero, one and two full tiles — (the
+/// last slot of each width ≥ 2 duplicating the first, with the same
+/// salt), two sigmas and three k — through
 /// `body(emb, index, texts, salts, k, sigma)`.
 fn batched_grid(body: fn(&Embedder, &SegmentedIndex, &[&str], &[u64], usize, f32)) {
     let emb = Embedder::paper();
@@ -397,7 +460,7 @@ fn batched_grid(body: fn(&Embedder, &SegmentedIndex, &[&str], &[u64], usize, f32
     let docs: Vec<String> = (0..60).map(|_| vocab_sentence(rng)).collect();
     for seg_rows in [docs.len(), 16] {
         let index = build(&emb, &docs, seg_rows);
-        for width in [0usize, 1, 3, 4, 5, 8, 9] {
+        for width in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
             let mut texts: Vec<String> = (0..width).map(|_| vocab_sentence(rng)).collect();
             let mut salts: Vec<u64> = (0..width).map(|_| rng.next_u64()).collect();
             if width >= 2 {
@@ -456,6 +519,75 @@ fn batched_pruned_equals_oracle_per_slot() {
             .map(|i| i.wrapping_mul(0x9E37))
             .collect();
         batched_pruned_equals_oracle(&emb, &index, &texts, &salts, k, sigma);
+    });
+}
+
+/// The quantized scan reranks exactly the documents its definition
+/// names ([`reranked_by_definition`]): sequential and batched, at sigma
+/// 0 and 0.30, for k below, at and above the corpus size, on
+/// multi-segment indexes. The grid runs first on an index whose last
+/// segment has the largest error bound, so a margin built from the
+/// segments screened so far would be too high there.
+#[test]
+fn quant_rerank_count_matches_its_definition() {
+    let body = |index: &SegmentedIndex, query: &[f32], k: usize, sigma: f32, salt: u64| {
+        let want = reranked_by_definition(index, query, k, sigma, salt);
+        let at = format!(
+            "n {} seg_rows {} k {k} sigma {sigma}",
+            index.len(),
+            index.seg_rows()
+        );
+        let (_, seq) = index.top_k_noisy_quant(query, k, sigma, salt);
+        assert_eq!(seq.reranked, want, "sequential {at}");
+        let slot = NoisyQuery {
+            vector: query,
+            salt,
+        };
+        let batch = index.top_k_noisy_quant_batch(&[slot, slot, slot], k, sigma);
+        for (_, stats) in &batch {
+            assert_eq!(stats.reranked, want, "batched {at}");
+        }
+    };
+    // Four-word sentences spread their mass over more features than the
+    // one-letter document of the last segment, so their segments
+    // quantize with smaller scales.
+    let emb = Embedder::paper();
+    let mut docs: Vec<String> = (0..30)
+        .map(|i| {
+            let words: Vec<&str> = (0..4)
+                .map(|j| VOCAB[(i * 7 + j * 5) % VOCAB.len()])
+                .collect();
+            words.join(" ")
+        })
+        .collect();
+    docs.extend(["x", "zebra", "fjord byway"].map(String::from));
+    let index = build(&emb, &docs, 10);
+    let probe = QuantQuery::new(&emb.encode(&docs[3]));
+    let bounds: Vec<f64> = segment_shadows(&index, &probe)
+        .iter()
+        .map(|s| s.0)
+        .collect();
+    let last = *bounds.last().expect("segments");
+    assert!(
+        bounds[..bounds.len() - 1].iter().all(|&b| b < last),
+        "the last segment must carry the largest bound: {bounds:?}"
+    );
+    for query in docs.iter().step_by(4) {
+        let q = emb.encode(query);
+        for sigma in [0.0f32, 0.30] {
+            for k in [1usize, 3, 10, docs.len() - 1, docs.len(), docs.len() + 5] {
+                body(&index, &q, k, sigma, 0xC0DE);
+            }
+        }
+    }
+    check(256, 17, |rng| {
+        let docs = rng.vec(1..40, text);
+        let seg_rows = rng.random_range(1..docs.len() + 1);
+        let query = text(rng);
+        let (k, salt) = (rng.random_range(1..50), rng.next_u64());
+        let sigma = if rng.random_bool() { 0.30 } else { 0.0 };
+        let index = build(&emb, &docs, seg_rows);
+        body(&index, &emb.encode(&query), k, sigma, salt);
     });
 }
 
