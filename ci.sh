@@ -103,11 +103,11 @@ grep -q "runner thread-identity ok" /tmp/perf_smoke.out || {
     exit 1
 }
 grep -q "perf smoke sharded base ok" /tmp/perf_smoke.out || {
-    echo "ci.sh: perf smoke lost the sharded-base identity assertion (shards + on-disk reopen vs the naive oracle)" >&2
+    echo "ci.sh: perf smoke lost the sharded-base identity assertion (1/2/7 shards vs the naive oracle)" >&2
     exit 1
 }
 grep -q "perf smoke scaling ok" /tmp/perf_smoke.out || {
-    echo "ci.sh: perf smoke lost the on-disk scaling row (build → write → checksum-verified reopen → top-k identity)" >&2
+    echo "ci.sh: perf smoke lost the scaling row (segmented build → resident bytes → top-k identity vs the naive oracle)" >&2
     exit 1
 }
 

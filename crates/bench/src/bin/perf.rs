@@ -20,19 +20,17 @@
 //!   (query, document) pair at each width (hits asserted equal to the
 //!   oracle and screen counters equal to the sequential scan's at every
 //!   width);
-//! * **sharded** — the segmented base at 1/2/7 shards, plus an on-disk
-//!   write → checksum-verified reopen of the finest sharding, across
-//!   the full retrieval × scoring × batch cross product (hits asserted
-//!   equal to the oracle everywhere, candidate sets equal to the
-//!   production base's);
+//! * **sharded** — the segmented base at 1/2/7 shards, across the full
+//!   retrieval × scoring × batch cross product (hits asserted equal to
+//!   the oracle everywhere, candidate sets equal to the production
+//!   base's);
 //! * **scaling** — the 10k/100k/1M curve over a scaled world: serial
 //!   segmented build time, the virtual 8-thread build makespan (each
 //!   phase the parallel build distributes re-timed in its chunk layout
 //!   — wall time cannot show parallel speedup on a single-core box,
-//!   the chunk schedule can), bytes on disk, resident bytes after a
-//!   zero-copy reopen, mean query latency on the opened index, and
-//!   built + reopened scans asserted equal to the oracle at every
-//!   point (≥2x virtual build speedup gated at 100k and above);
+//!   the chunk schedule can), resident bytes and mean query latency of
+//!   the built index, and its scans asserted equal to the oracle at
+//!   every point (≥2x virtual build speedup gated at 100k and above);
 //! * **end-to-end** — the full pipeline in exact vs pruned mode, each
 //!   run cold (fresh query-embedding cache) then warm (same base
 //!   re-queried), reporting questions/sec, postings-build time, and the
@@ -403,9 +401,8 @@ fn sharded_scans_match(
     ok
 }
 
-/// The segmented base at 1/2/7 shards over the live base corpus, plus
-/// an on-disk write → checksum-verified reopen of the finest sharding,
-/// each run through the same cross product against the oracle over the
+/// The segmented base at 1/2/7 shards over the live base corpus, each
+/// run through the same cross product against the oracle over the
 /// production base.
 fn bench_sharded_identity(exp: &Experiment, base: &BaseIndex, queries: usize) -> ShardedIdentity {
     let sentences: Vec<String> = base.verbalised.iter().map(|t| t.sentence()).collect();
@@ -423,37 +420,24 @@ fn bench_sharded_identity(exp: &Experiment, base: &BaseIndex, queries: usize) ->
         .iter()
         .map(|&id| prod.candidates(&exp.embedder, texts[id], QueryStyle::Folded))
         .collect();
-    let check = |seg: &SegmentedIndex| {
-        sharded_scans_match(
+
+    let len = texts.len().max(1);
+    let mut identical = true;
+    let mut shard_counts = Vec::new();
+    for rows in [len, len.div_ceil(2), len.div_ceil(7)] {
+        let seg = SegmentedIndex::build_parallel(&exp.embedder, &texts, rows, 0);
+        shard_counts.push(seg.num_segments());
+        identical &= sharded_scans_match(
             &exp.embedder,
             prod,
-            seg,
+            &seg,
             &texts,
             &sample,
             &want,
             &cand_sets,
             k,
             sigma,
-        )
-    };
-
-    let len = texts.len().max(1);
-    let shard_rows = [len, len.div_ceil(2), len.div_ceil(7)];
-    let mut identical = true;
-    let mut shard_counts = Vec::new();
-    for (i, &rows) in shard_rows.iter().enumerate() {
-        let seg = SegmentedIndex::build_parallel(&exp.embedder, &texts, rows, 0);
-        shard_counts.push(seg.num_segments());
-        identical &= check(&seg);
-        if i == shard_rows.len() - 1 {
-            // The finest sharding additionally round-trips through disk.
-            let path = std::env::temp_dir().join("pgg-perf-sharded.seg");
-            seg.write_to(&path).expect("write sharded index");
-            let opened = SegmentedIndex::open(&path).expect("reopen sharded index");
-            let _ = std::fs::remove_file(&path);
-            identical &= opened.is_file_backed();
-            identical &= check(&opened);
-        }
+        );
     }
     ShardedIdentity {
         queries: sample.len(),
@@ -470,7 +454,6 @@ struct ScalingRow {
     build_virtual_parallel_ms: f64,
     build_speedup: f64,
     build_threads_used: usize,
-    disk_bytes: u64,
     resident_bytes: usize,
     query_ms: f64,
     identical: bool,
@@ -504,10 +487,9 @@ fn scaling_corpus(exp: &Experiment, max_docs: usize) -> Vec<String> {
 }
 
 /// The scaling curve: one row per corpus size. Identity at each point
-/// compares the built and the reopened segmented index against the
-/// oracle on a spread query sample (exact and quantized paths; the full
-/// mode cross product is gated by the sharded section and the semvec
-/// proptests).
+/// compares the segmented index against the oracle on a spread query
+/// sample (exact and quantized paths; the full mode cross product is
+/// gated by the sharded section and the semvec proptests).
 fn bench_scaling(exp: &Experiment, sizes: &[usize], k: usize, sigma: f32) -> Vec<ScalingRow> {
     let max_docs = sizes.iter().copied().max().unwrap_or(0);
     let sentences = scaling_corpus(exp, max_docs);
@@ -574,12 +556,6 @@ fn bench_scaling(exp: &Experiment, sizes: &[usize], k: usize, sigma: f32) -> Vec
             let build_virtual_parallel_ms =
                 (slot_ms + max_chunk_ms + residual_ms * assembly_share).max(0.1);
 
-            let path = std::env::temp_dir().join(format!("pgg-perf-scaling-{n}.seg"));
-            built.write_to(&path).expect("write scaling index");
-            let disk_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            let opened = SegmentedIndex::open(&path).expect("reopen scaling index");
-            let _ = std::fs::remove_file(&path);
-
             let spread = if n >= 500_000 {
                 12
             } else if n >= 50_000 {
@@ -592,24 +568,22 @@ fn bench_scaling(exp: &Experiment, sizes: &[usize], k: usize, sigma: f32) -> Vec
             let sample: Vec<usize> = (0..n).step_by(step).take(q).collect();
 
             let t = Instant::now();
-            let opened_quant: Vec<_> = sample
+            let quant_hits: Vec<_> = sample
                 .iter()
                 .map(|&id| {
-                    opened
-                        .top_k_noisy_quant(opened.vector(id), k, sigma, id as u64)
+                    built
+                        .top_k_noisy_quant(built.vector(id), k, sigma, id as u64)
                         .0
                 })
                 .collect();
             let query_ms = ms(t) / sample.len().max(1) as f64;
 
             let mut identical = true;
-            for (i, &id) in sample.iter().enumerate() {
+            for (hits, &id) in quant_hits.iter().zip(&sample) {
                 let (qv, salt) = (built.vector(id), id as u64);
                 let want = reference_top_k(&built, qv, k, sigma, salt);
-                identical &= opened.top_k_noisy(qv, k, sigma, salt) == want;
                 identical &= built.top_k_noisy(qv, k, sigma, salt) == want;
-                identical &= opened_quant[i] == want;
-                identical &= built.top_k_noisy_quant(qv, k, sigma, salt).0 == want;
+                identical &= *hits == want;
             }
 
             ScalingRow {
@@ -620,8 +594,7 @@ fn bench_scaling(exp: &Experiment, sizes: &[usize], k: usize, sigma: f32) -> Vec
                 build_virtual_parallel_ms,
                 build_speedup: build_serial_ms / build_virtual_parallel_ms,
                 build_threads_used: semvec::resolve_build_threads(unique.len(), 0),
-                disk_bytes,
-                resident_bytes: opened.resident_bytes(),
+                resident_bytes: built.resident_bytes(),
                 query_ms,
                 identical,
             }
@@ -817,7 +790,7 @@ fn json_report(
                     "    {{\"docs\": {}, \"unique_docs\": {}, \"segments\": {}, ",
                     "\"build_serial_ms\": {:.1}, \"build_virtual_parallel_ms\": {:.1}, ",
                     "\"build_speedup\": {:.2}, \"build_threads_used\": {}, ",
-                    "\"disk_bytes\": {}, \"resident_bytes\": {}, ",
+                    "\"resident_bytes\": {}, ",
                     "\"query_ms\": {:.3}, \"identical\": {}}}"
                 ),
                 r.docs,
@@ -827,7 +800,6 @@ fn json_report(
                 r.build_virtual_parallel_ms,
                 r.build_speedup,
                 r.build_threads_used,
-                r.disk_bytes,
                 r.resident_bytes,
                 r.query_ms,
                 r.identical,
@@ -922,7 +894,7 @@ fn json_report(
             "{}\n",
             "  ]}},\n",
             "  \"sharded\": {{\"queries\": {}, \"shard_counts\": [{}], ",
-            "\"on_disk_reopen\": true, \"identical\": {}}},\n",
+            "\"identical\": {}}},\n",
             "  \"scaling\": {{\"k\": {}, \"sigma\": {:.2}, \"rows\": [\n",
             "{}\n",
             "  ]}},\n",
@@ -1052,7 +1024,7 @@ fn main() {
     let sharded = bench_sharded_identity(&exp, &base, if smoke { 150 } else { 400 });
     if !sharded.identical {
         eprintln!(
-            "perf violation: a sharded or reopened scan diverged from the \
+            "perf violation: a sharded scan diverged from the \
              oracle over {} self-queries at shard counts {:?}",
             sharded.queries, sharded.shard_counts,
         );
@@ -1181,8 +1153,8 @@ fn main() {
             batched_w8,
         );
         println!(
-            "perf smoke sharded base ok: shard counts {:?} + on-disk reopen \
-             bit-identical to the oracle over {} self-queries across \
+            "perf smoke sharded base ok: shard counts {:?} bit-identical \
+             to the oracle over {} self-queries across \
              full/pruned x f32/quant x sequential/batched modes",
             sharded.shard_counts, sharded.queries,
         );
@@ -1190,8 +1162,8 @@ fn main() {
             println!(
                 "perf smoke scaling ok: {} docs ({} unique) in {} segments, \
                  serial build {:.0}ms (virtual x8 {:.0}ms, speedup {:.2}, \
-                 self-tuned threads {}), {} bytes on disk, {} resident after \
-                 reopen, {:.3}ms/query, identity ok",
+                 self-tuned threads {}), {} bytes resident, {:.3}ms/query, \
+                 identity ok",
                 row.docs,
                 row.unique_docs,
                 row.segments,
@@ -1199,7 +1171,6 @@ fn main() {
                 row.build_virtual_parallel_ms,
                 row.build_speedup,
                 row.build_threads_used,
-                row.disk_bytes,
                 row.resident_bytes,
                 row.query_ms,
             );
@@ -1241,7 +1212,7 @@ fn main() {
         .map(|r| {
             format!(
                 "{}docs:{:.0}ms/x{:.1}/{}B/{:.2}ms",
-                r.docs, r.build_serial_ms, r.build_speedup, r.disk_bytes, r.query_ms,
+                r.docs, r.build_serial_ms, r.build_speedup, r.resident_bytes, r.query_ms,
             )
         })
         .collect::<Vec<_>>()
@@ -1249,8 +1220,8 @@ fn main() {
     println!(
         "perf ok: docs={} retrieval_speedup={:.2} scoring_speedup={:.2} \
          build_speedup={:.2} batched_w8_speedup={:.2} warm_qps(pruned)={:.1} \
-         cand_fraction {:.4}, sharded identity ok at shard counts {:?} + \
-         on-disk reopen, scaling [{}] stage breakdown [{}] \
+         cand_fraction {:.4}, sharded identity ok at shard counts {:?}, \
+         scaling [{}] stage breakdown [{}] \
          runner thread-identity ok at 1/2/4/8 (8-thread virtual speedup \
          {:.2}x) — BENCH_perf.json written",
         build.docs,

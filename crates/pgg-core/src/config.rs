@@ -45,8 +45,8 @@ pub struct PipelineConfig {
     /// [`crate::resilience`]). Irrelevant when the model never fails
     /// (plain [`simllm::SimLlm`]): the first attempt always succeeds.
     pub resilience: ResilienceConfig,
-    /// Which scan the base index runs per retrieval query. The pruned
-    /// fast path is the default and returns hits bit-identical to the
+    /// Which scan the base index runs per retrieval query. Token
+    /// pruning is the default and returns hits bit-identical to the
     /// exact scan (see [`semvec::SegmentedIndex::top_k_noisy_encoded`]);
     /// `Exact` scans every document.
     pub retrieval_mode: RetrievalMode,
@@ -69,15 +69,6 @@ pub struct PipelineConfig {
     /// (relaxed for pure-f32 scoring, where pruning pays much longer).
     /// Hits are bit-identical either way; the gate is pure routing.
     pub prune_gate: f32,
-    /// Directory for the on-disk base-index cache. When set, dataset
-    /// builds open-or-build: the encoded base is looked up by content
-    /// hash, reopened zero-copy (checksum-verified) if present, and
-    /// built + written otherwise (see
-    /// [`crate::retrieval::BaseIndex::from_triples_cached`]). `None`
-    /// (the default) keeps every build in RAM. Opened and built
-    /// indexes are bit-identical, so this knob only trades disk for
-    /// encode time.
-    pub base_cache_dir: Option<String>,
 }
 
 impl Default for PipelineConfig {
@@ -97,7 +88,6 @@ impl Default for PipelineConfig {
             scoring_mode: ScoringMode::default(),
             runner_threads: 0,
             prune_gate: crate::retrieval::PRUNE_GATE_DEFAULT,
-            base_cache_dir: None,
         }
     }
 }

@@ -35,13 +35,6 @@
 //! repeat queries are decided — and counted — once. [`ScoringMode`]
 //! picks the scoring: the int8 screen with an exact f32 rerank by
 //! default. Neither knob ever changes a hit.
-//!
-//! With a configured cache directory ([`PipelineConfig::base_cache_dir`])
-//! the encoded base is built **once** into the versioned, checksummed
-//! on-disk format of `semvec::segfile` (keyed by a content hash of the
-//! verbalised sentences) and reopened zero-copy on later runs —
-//! open-or-build. A checksum mismatch, version skew, or any other open
-//! failure silently falls back to a fresh build that rewrites the file.
 
 use crate::config::PipelineConfig;
 use crate::prune::Candidate;
@@ -57,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
     /// Token-postings candidate pruning + exact rerank behind the
-    /// adaptive gate (the fast path; hits are bit-identical to
+    /// adaptive gate (the default; hits are bit-identical to
     /// [`Exact`] under the segmented index's zero-overlap ceiling
     /// contract, which the perf bench asserts).
     ///
@@ -438,50 +431,6 @@ struct RouteMemo {
     fifo: VecDeque<(bool, bool, String)>,
 }
 
-/// Content hash keying the on-disk base cache: the file-format
-/// version, embedder dimension, segment geometry, and every verbalised
-/// sentence in index order. Any change to what would be encoded — or
-/// to how it would be laid out — changes the key, so a stale file can
-/// never be opened for the wrong corpus.
-fn base_content_hash(dim: usize, seg_rows: usize, sentences: &[&str]) -> u64 {
-    use kgstore::hash::{mix2, stable_str_hash};
-    let mut h = mix2(semvec::segfile::FORMAT_VERSION as u64, dim as u64);
-    h = mix2(h, seg_rows as u64);
-    h = mix2(h, sentences.len() as u64);
-    for s in sentences {
-        h = mix2(h, stable_str_hash(s));
-    }
-    h
-}
-
-/// Open the cached index for these sentences, or build (and best-effort
-/// cache) it. See [`BaseIndex::from_triples_cached`] for the contract.
-fn open_or_build(
-    embedder: &Embedder,
-    sentences: &[&str],
-    threads: usize,
-    cache_dir: Option<&std::path::Path>,
-) -> SegmentedIndex {
-    let seg_rows = semvec::SEG_ROWS_DEFAULT;
-    let Some(dir) = cache_dir else {
-        return SegmentedIndex::build_parallel(embedder, sentences, seg_rows, threads);
-    };
-    let hash = base_content_hash(embedder.dim(), seg_rows, sentences);
-    let path = dir.join(format!("base-{hash:016x}.seg"));
-    if let Ok(idx) = SegmentedIndex::open(&path) {
-        // The checksum already vouches for integrity; shape checks
-        // guard against a (vanishingly unlikely) key collision.
-        if idx.dim() == embedder.dim() && idx.len() == sentences.len() {
-            return idx;
-        }
-    }
-    let idx = SegmentedIndex::build_parallel(embedder, sentences, seg_rows, threads);
-    // Cache write is best-effort: a read-only or full disk must not
-    // fail the build.
-    let _ = idx.write_to(&path);
-    idx
-}
-
 /// A pre-encoded semantic KG: verbalised triples, their subject atoms
 /// (into the source's table), and the hybrid (postings + vector) index,
 /// plus a query-embedding cache.
@@ -526,16 +475,9 @@ impl BaseIndex {
         self.index.vector(id)
     }
 
-    /// Encode-worker threads the index build used (0 when the index
-    /// was reopened from the on-disk cache and never encoded).
+    /// Encode-worker threads the index build used.
     pub fn build_threads_used(&self) -> usize {
         self.index.build_threads_used()
-    }
-
-    /// Whether the index was reopened zero-copy from the on-disk cache
-    /// rather than built in RAM.
-    pub fn is_file_backed(&self) -> bool {
-        self.index.is_file_backed()
     }
 
     /// Query-embedding cache counters.
@@ -658,28 +600,6 @@ impl BaseIndex {
         triples: impl IntoIterator<Item = Triple>,
         threads: usize,
     ) -> Self {
-        Self::from_triples_cached(source, embedder, triples, threads, None)
-    }
-
-    /// [`from_triples_parallel`] with open-or-build: when `cache_dir`
-    /// is set, the encoded index is looked up on disk under a content
-    /// hash of the verbalised sentences (plus format version, embedder
-    /// dimension, and segment geometry) and reopened zero-copy,
-    /// checksum-verified, if present; otherwise it is built and the
-    /// file written for the next run. Any open failure — missing file,
-    /// flipped byte, version skew — falls back to a fresh build, and a
-    /// failed cache write never fails the build. Opened and built
-    /// indexes answer every search with identical bits, so the cache
-    /// can only skip encode time, never change a result.
-    ///
-    /// [`from_triples_parallel`]: BaseIndex::from_triples_parallel
-    pub fn from_triples_cached(
-        source: &KgSource,
-        embedder: &Embedder,
-        triples: impl IntoIterator<Item = Triple>,
-        threads: usize,
-        cache_dir: Option<&std::path::Path>,
-    ) -> Self {
         let mut verbalised = Vec::new();
         let mut subjects = Vec::new();
         let mut sentences: Vec<String> = Vec::new();
@@ -691,7 +611,8 @@ impl BaseIndex {
             subjects.push(t.s);
         }
         let refs: Vec<&str> = sentences.iter().map(|s| s.as_str()).collect();
-        let index = open_or_build(embedder, &refs, threads, cache_dir);
+        let index =
+            SegmentedIndex::build_parallel(embedder, &refs, semvec::SEG_ROWS_DEFAULT, threads);
         Self {
             verbalised,
             subjects,
@@ -753,8 +674,7 @@ impl BaseIndex {
                 }
             }
         }
-        let cache_dir = cfg.base_cache_dir.as_deref().map(std::path::Path::new);
-        Self::from_triples_cached(source, embedder, union, threads, cache_dir)
+        Self::from_triples_parallel(source, embedder, union, threads)
             .with_prune_gate(cfg.prune_gate)
     }
 
@@ -1237,89 +1157,6 @@ mod tests {
         assert_eq!(serial.subjects, parallel.subjects);
         for id in 0..serial.len() {
             assert_eq!(serial.vector(id), parallel.vector(id));
-        }
-    }
-
-    /// FNV-1a-64 of a segment file with its checksum field zeroed — the
-    /// format's own checksum, recomputed here so the test can forge a
-    /// valid file of another format version.
-    fn segfile_checksum(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (i, &b) in bytes.iter().enumerate() {
-            let b = if (48..56).contains(&i) { 0 } else { b };
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    #[test]
-    fn open_or_build_caches_and_reopens_bit_identically() {
-        let src = source();
-        let emb = Embedder::default();
-        let dir = std::env::temp_dir().join(format!("pgg-base-cache-test-{}", std::process::id()));
-        // Stale cache files from a previous run would make the first call
-        // reopen instead of build, so start from an empty directory.
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut c = cfg();
-        c.base_cache_dir = Some(dir.to_string_lossy().into_owned());
-        let questions = ["Where was Yao Ming born?", "In which country is Shanghai?"];
-        let built = BaseIndex::for_questions(&src, &emb, &c, questions);
-        assert!(!built.is_file_backed(), "first run must build");
-        let opened = BaseIndex::for_questions(&src, &emb, &c, questions);
-        assert!(opened.is_file_backed(), "second run must reopen the cache");
-        assert_eq!(opened.build_threads_used(), 0);
-        assert_eq!(built.verbalised, opened.verbalised);
-        for id in 0..built.len() {
-            assert_eq!(built.vector(id), opened.vector(id), "row {id}");
-        }
-        // Searches through the reopened index equal the oracle.
-        let slot = QuerySlot {
-            text: "Yao Ming born Shanghai",
-            style: QueryStyle::Folded,
-            salt: 7,
-        };
-        let want = oracle(&built, &emb, &slot, 4, 0.3);
-        for (mode, scoring) in MODES {
-            let got = search_one(&opened, &emb, slot.text, 4, 0.3, 7, mode, scoring);
-            assert_eq!(got, want, "{mode:?}/{scoring:?}");
-        }
-        let entry = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .find(|e| e.file_name().to_string_lossy().ends_with(".seg"))
-            .expect("cache file written")
-            .path();
-        let clean = std::fs::read(&entry).unwrap();
-        // A file of the previous format version (valid checksum, v2 in
-        // the version field) is rejected and rebuilt in the current
-        // version, which then reopens.
-        let mut old = clean.clone();
-        old[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let sum = segfile_checksum(&old);
-        old[48..56].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&entry, &old).unwrap();
-        assert!(matches!(
-            SegmentedIndex::open(&entry),
-            Err(semvec::SegFileError::BadVersion(2))
-        ));
-        let rebuilt = BaseIndex::for_questions(&src, &emb, &c, questions);
-        assert!(!rebuilt.is_file_backed(), "a v2 file must rebuild");
-        assert_eq!(
-            std::fs::read(&entry).unwrap(),
-            clean,
-            "rebuild rewrites the current version"
-        );
-        assert!(BaseIndex::for_questions(&src, &emb, &c, questions).is_file_backed());
-        // A corrupted cache file silently falls back to a fresh build.
-        let mut bytes = clean;
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&entry, &bytes).unwrap();
-        let rebuilt = BaseIndex::for_questions(&src, &emb, &c, questions);
-        assert!(!rebuilt.is_file_backed(), "corrupt cache must rebuild");
-        for id in 0..built.len() {
-            assert_eq!(built.vector(id), rebuilt.vector(id), "row {id}");
         }
     }
 

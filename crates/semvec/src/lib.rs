@@ -18,8 +18,6 @@
 //!   int8 shadows and token postings; full and pruned, f32 and
 //!   quantized, sequential and batched scans, all bit-identical to
 //!   [`reference_top_k`];
-//! * [`segfile`] — versioned, checksummed, zero-copy on-disk format
-//!   for [`SegmentedIndex`];
 //! * [`verbalize`] — schema term humanisation for prompts and encoding.
 
 #![warn(missing_docs)]
@@ -29,7 +27,6 @@ pub mod idf;
 pub mod index;
 pub mod quant;
 pub mod seg;
-pub mod segfile;
 pub mod synonym;
 pub mod token;
 pub mod verbalize;
@@ -42,6 +39,5 @@ pub use seg::{
     build_chunk_ranges, encode_doc, resolve_build_threads, BatchSlot, QueryStyle, SegmentedIndex,
     DEFAULT_CEILING, PARALLEL_BUILD_MIN_DOCS, SEG_ROWS_DEFAULT,
 };
-pub use segfile::SegFileError;
 pub use synonym::SynonymTable;
 pub use verbalize::{display_triple, humanize_term, verbalize_triple};

@@ -60,21 +60,13 @@
 //!   fewer than `k` candidates the query falls back to the full scan.
 //!   Per-segment postings partition the global lists, so candidate
 //!   sets and gate estimates are independent of the segment count.
-//!
-//! The on-disk face lives in [`crate::segfile`]: `write_to` serializes
-//! a built index, `open` maps it back behind zero-copy column views,
-//! and searches are layout-agnostic — RAM-built and disk-opened
-//! indexes return identical bits.
 
 use crate::embed::{dot, Embedder};
 use crate::index::{jitter, jitter_max, jitter_of, Hit, NoisyQuery, TopK};
 use crate::quant::{dot_i8, dot_i8_batch, pair_error_bound, quantize_block};
 use crate::quant::{QuantQuery, ScreenStats};
-use crate::segfile::{AlignedBuf, Col, SegFileError};
 use crate::token::normalize;
 use kgstore::hash::{stable_str_hash, FxHashMap};
-use std::path::Path;
-use std::sync::Arc;
 
 /// Default documents per segment. At the seed corpus (~6k docs) this
 /// yields one segment — the sharded engine degenerates to the
@@ -200,38 +192,37 @@ pub fn encode_doc(embedder: &Embedder, text: &str) -> (Vec<f32>, Vec<u64>) {
 /// scale, and token postings as flat sorted arrays (`keys` sorted
 /// unique hashes, `offs` prefix offsets, `ids` ascending local rows).
 #[derive(Debug)]
-pub struct Segment {
-    pub(crate) base: usize,
-    pub(crate) rows: usize,
-    pub(crate) dim: usize,
-    pub(crate) vectors: Col<f32>,
-    pub(crate) quant: Col<i8>,
-    pub(crate) scale: f32,
-    pub(crate) max_norm: f32,
-    pub(crate) keys: Col<u64>,
-    pub(crate) offs: Col<u32>,
-    pub(crate) ids: Col<u32>,
+struct Segment {
+    base: usize,
+    rows: usize,
+    dim: usize,
+    vectors: Vec<f32>,
+    quant: Vec<i8>,
+    scale: f32,
+    max_norm: f32,
+    keys: Vec<u64>,
+    offs: Vec<u32>,
+    ids: Vec<u32>,
 }
 
 impl Segment {
     /// The f32 row at local index `r`.
     #[inline]
     fn row(&self, r: usize) -> &[f32] {
-        &self.vectors.as_slice()[r * self.dim..(r + 1) * self.dim]
+        &self.vectors[r * self.dim..(r + 1) * self.dim]
     }
 
     /// The int8 row at local index `r`.
     #[inline]
     fn qrow(&self, r: usize) -> &[i8] {
-        &self.quant.as_slice()[r * self.dim..(r + 1) * self.dim]
+        &self.quant[r * self.dim..(r + 1) * self.dim]
     }
 
     /// Local postings list for a token hash, if any.
     #[inline]
     fn postings(&self, hash: u64) -> Option<&[u32]> {
-        let i = self.keys.as_slice().binary_search(&hash).ok()?;
-        let offs = self.offs.as_slice();
-        Some(&self.ids.as_slice()[offs[i] as usize..offs[i + 1] as usize])
+        let i = self.keys.binary_search(&hash).ok()?;
+        Some(&self.ids[self.offs[i] as usize..self.offs[i + 1] as usize])
     }
 }
 
@@ -243,11 +234,11 @@ fn assemble_segment(
     doc_slots: &[usize],
     encoded: &[(Vec<f32>, Vec<u64>)],
 ) -> Segment {
-    let mut vecs: Vec<f32> = Vec::with_capacity(rows * dim);
+    let mut vectors: Vec<f32> = Vec::with_capacity(rows * dim);
     let mut pairs: Vec<(u64, u32)> = Vec::new();
     for r in 0..rows {
         let slot = doc_slots[base + r];
-        vecs.extend_from_slice(&encoded[slot].0);
+        vectors.extend_from_slice(&encoded[slot].0);
         for &h in &encoded[slot].1 {
             pairs.push((h, r as u32));
         }
@@ -267,18 +258,18 @@ fn assemble_segment(
         ids.push(r);
     }
     offs.push(ids.len() as u32);
-    let (qdata, scale, max_norm) = quantize_block(dim, rows, &vecs);
+    let (quant, scale, max_norm) = quantize_block(dim, rows, &vectors);
     Segment {
         base,
         rows,
         dim,
-        vectors: Col::Owned(vecs),
-        quant: Col::Owned(qdata),
+        vectors,
+        quant,
         scale,
         max_norm,
-        keys: Col::Owned(keys),
-        offs: Col::Owned(offs),
-        ids: Col::Owned(ids),
+        keys,
+        offs,
+        ids,
     }
 }
 
@@ -291,9 +282,6 @@ pub struct SegmentedIndex {
     n_docs: usize,
     ceiling: f32,
     segments: Vec<Segment>,
-    /// File buffer behind zero-copy views (open path), `None` when
-    /// every column is owned (build path).
-    backing: Option<Arc<AlignedBuf>>,
     build_threads_used: usize,
 }
 
@@ -392,40 +380,8 @@ impl SegmentedIndex {
             n_docs,
             ceiling: DEFAULT_CEILING,
             segments,
-            backing: None,
             build_threads_used: threads,
         }
-    }
-
-    /// Assemble an index from parts validated by [`crate::segfile::open`].
-    pub(crate) fn from_open_parts(
-        dim: usize,
-        seg_rows: usize,
-        n_docs: usize,
-        ceiling: f32,
-        segments: Vec<Segment>,
-        backing: Arc<AlignedBuf>,
-    ) -> Self {
-        Self {
-            dim,
-            seg_rows,
-            n_docs,
-            ceiling,
-            segments,
-            backing: Some(backing),
-            build_threads_used: 0,
-        }
-    }
-
-    /// Serialize into the on-disk format (see [`crate::segfile`]).
-    pub fn write_to(&self, path: &Path) -> Result<(), SegFileError> {
-        crate::segfile::write_to(self, path)
-    }
-
-    /// Reopen a file written by [`write_to`](SegmentedIndex::write_to):
-    /// checksum-verified, zero-copy on little-endian targets.
-    pub fn open(path: &Path) -> Result<Self, SegFileError> {
-        crate::segfile::open(path)
     }
 
     /// Override the zero-overlap ceiling (see [`DEFAULT_CEILING`]).
@@ -479,19 +435,9 @@ impl SegmentedIndex {
         self.segments[s].max_norm
     }
 
-    /// Encode-worker threads the build used (0 for a file-opened
-    /// index, which never encoded anything).
+    /// Encode-worker threads the build used.
     pub fn build_threads_used(&self) -> usize {
         self.build_threads_used
-    }
-
-    /// Whether this index reads zero-copy out of a file buffer.
-    pub fn is_file_backed(&self) -> bool {
-        self.backing.is_some()
-    }
-
-    pub(crate) fn segments(&self) -> &[Segment] {
-        &self.segments
     }
 
     /// The stored f32 vector with a given global id.
@@ -499,18 +445,6 @@ impl SegmentedIndex {
     pub fn vector(&self, id: usize) -> &[f32] {
         let seg = &self.segments[id / self.seg_rows];
         seg.row(id - seg.base)
-    }
-
-    /// Global ascending postings list for a token hash (used by the
-    /// roundtrip tests; per-segment lists partition this list).
-    pub fn postings(&self, token_hash: u64) -> Vec<u32> {
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            if let Some(list) = seg.postings(token_hash) {
-                out.extend(list.iter().map(|&l| seg.base as u32 + l));
-            }
-        }
-        out
     }
 
     /// Bytes of the f32 rows.
@@ -523,23 +457,20 @@ impl SegmentedIndex {
         self.bytes_f32() + self.n_docs * self.dim
     }
 
-    /// Resident heap bytes: the shared file buffer when file-backed
-    /// (columns are views into it), otherwise the sum of owned column
-    /// bytes.
+    /// Resident bytes of every segment column: f32 rows, int8
+    /// shadows and token postings.
     pub fn resident_bytes(&self) -> usize {
-        if let Some(b) = &self.backing {
-            return b.len();
-        }
+        use std::mem::size_of_val;
         self.segments
             .iter()
             .map(|s| {
-                s.vectors.owned_bytes()
-                    + s.quant.owned_bytes()
-                    + s.keys.owned_bytes()
-                    + s.offs.owned_bytes()
-                    + s.ids.owned_bytes()
+                size_of_val(&s.vectors[..])
+                    + size_of_val(&s.quant[..])
+                    + size_of_val(&s.keys[..])
+                    + size_of_val(&s.offs[..])
+                    + size_of_val(&s.ids[..])
             })
-            .sum::<usize>()
+            .sum()
     }
 
     // ------------------------------------------------------------------
@@ -622,7 +553,7 @@ impl SegmentedIndex {
                 d.clear();
                 d.reserve(seg.rows);
             }
-            crate::embed::dot_batch(&refs, seg.vectors.as_slice(), self.dim, &mut dots);
+            crate::embed::dot_batch(&refs, &seg.vectors, self.dim, &mut dots);
             for ((q, d), top) in queries.iter().zip(&dots).zip(tops.iter_mut()) {
                 for (r, &s) in d.iter().enumerate() {
                     let id = seg.base + r;
@@ -687,7 +618,7 @@ impl SegmentedIndex {
                 r.clear();
                 r.reserve(seg.rows);
             }
-            dot_i8_batch(&qrows, seg.quant.as_slice(), self.dim, &mut raw);
+            dot_i8_batch(&qrows, &seg.quant, self.dim, &mut raw);
             for slot in 0..queries.len() {
                 let (q, top, kept) = (&queries[slot], &mut quant_tops[slot], &mut kept[slot]);
                 let factor = qqs[slot].scale() * seg.scale;
@@ -1356,17 +1287,12 @@ mod tests {
     }
 
     #[test]
-    fn ceiling_is_configurable_and_survives_disk() {
+    fn ceiling_is_configurable() {
         let emb = Embedder::default();
         let idx = SegmentedIndex::build(&emb, ["a b c"].iter().copied());
         assert_eq!(idx.ceiling(), DEFAULT_CEILING);
         let idx = idx.with_ceiling(0.9);
         assert_eq!(idx.ceiling(), 0.9);
-        let dir = std::env::temp_dir().join("seg-ceiling-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ceiling.seg");
-        idx.write_to(&path).unwrap();
-        assert_eq!(SegmentedIndex::open(&path).unwrap().ceiling(), 0.9);
     }
 
     #[test]
@@ -1417,87 +1343,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_disk_is_bit_identical() {
-        let emb = Embedder::paper();
-        let texts = corpus(300);
-        let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
-        let built = SegmentedIndex::build_parallel(&emb, &refs, 70, 1);
-        let dir = std::env::temp_dir().join("seg-roundtrip-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.seg");
-        built.write_to(&path).unwrap();
-        let opened = SegmentedIndex::open(&path).unwrap();
-        assert!(opened.is_file_backed());
-        assert_eq!(opened.len(), built.len());
-        assert_eq!(opened.num_segments(), built.num_segments());
-        for id in 0..built.len() {
-            let a: Vec<u32> = built.vector(id).iter().map(|x| x.to_bits()).collect();
-            let b: Vec<u32> = opened.vector(id).iter().map(|x| x.to_bits()).collect();
-            assert_eq!(a, b, "row {id}");
-        }
-        for s in 0..built.num_segments() {
-            assert_eq!(
-                built.segment_scale(s).to_bits(),
-                opened.segment_scale(s).to_bits()
-            );
-        }
-        for q in queries() {
-            let qv = emb.encode(q);
-            let salt = stable_str_hash(q);
-            let oracle = reference_top_k(&built, &qv, 10, 0.3, salt);
-            assert_eq!(opened.top_k_noisy(&qv, 10, 0.3, salt), oracle, "q {q:?}");
-            let cands = built.candidates(&emb, q, QueryStyle::Folded);
-            assert_eq!(cands, opened.candidates(&emb, q, QueryStyle::Folded));
-            let (hits, stats) = opened.top_k_noisy_encoded_quant(&qv, &cands, 10, 0.3, salt);
-            assert_eq!(hits, oracle, "pruned-quant q {q:?}");
-            assert_eq!(
-                stats,
-                built
-                    .top_k_noisy_encoded_quant(&qv, &cands, 10, 0.3, salt)
-                    .1
-            );
-        }
-    }
-
-    #[test]
-    fn corrupted_file_is_rejected_never_garbage() {
-        let emb = Embedder::paper();
-        let texts = corpus(60);
-        let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
-        let built = SegmentedIndex::build_parallel(&emb, &refs, 25, 1);
-        let dir = std::env::temp_dir().join("seg-corrupt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.seg");
-        built.write_to(&path).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        // Flip one byte at positions across header, table, payload.
-        for pos in [0usize, 9, 30, 70, 200, clean.len() / 2, clean.len() - 1] {
-            let mut bad = clean.clone();
-            bad[pos] ^= 0x40;
-            let p = dir.join("bad.seg");
-            std::fs::write(&p, &bad).unwrap();
-            assert!(
-                SegmentedIndex::open(&p).is_err(),
-                "flipped byte at {pos} must be rejected"
-            );
-        }
-        // Truncation is rejected too.
-        std::fs::write(dir.join("trunc.seg"), &clean[..clean.len() - 8]).unwrap();
-        assert!(SegmentedIndex::open(&dir.join("trunc.seg")).is_err());
-    }
-
-    #[test]
-    fn empty_index_works_and_roundtrips() {
+    fn empty_index_works() {
         let emb = Embedder::paper();
         let idx = SegmentedIndex::build(&emb, std::iter::empty());
         assert!(idx.is_empty());
         assert_eq!(idx.num_segments(), 0);
+        assert_eq!(idx.resident_bytes(), 0);
         assert!(idx.top_k_noisy(&vec![0.0; emb.dim()], 5, 0.3, 1).is_empty());
-        let dir = std::env::temp_dir().join("seg-empty-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.seg");
-        idx.write_to(&path).unwrap();
-        let opened = SegmentedIndex::open(&path).unwrap();
-        assert!(opened.is_empty());
     }
 }
