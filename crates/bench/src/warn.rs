@@ -1,10 +1,8 @@
-//! Shared non-fatal warning machinery for the bench binaries.
+//! Non-fatal warning machinery for the bench reports.
 //!
-//! `perf` and `soak` both report advisory regressions the same way —
-//! printed as `WARN:` lines on stderr and carried into the JSON
-//! report's `"warnings"` array — so CI can grep one format and gate
-//! on specific texts (e.g. fail the build while a known warning is
-//! still present in a committed report).
+//! `soak` reports advisory regressions as `WARN:` lines on stderr and
+//! carries them into its JSON report's `"warnings"` array; the
+//! hand-formatted reports share [`json_escape`].
 
 /// Collects non-fatal warnings for one bench report.
 #[derive(Default)]
@@ -22,37 +20,6 @@ impl WarnLog {
     pub fn warn(&mut self, msg: String) {
         eprintln!("WARN: {msg}");
         self.warnings.push(msg);
-    }
-
-    /// Warn when `fast_ms` exceeds `ref_ms` by more than `tolerance`
-    /// (fractional, e.g. `0.05` = 5%). The margin absorbs run-to-run
-    /// noise between two arms doing near-identical work — without it,
-    /// an optimized arm that converges onto the reference arm's cost
-    /// turns the comparison into a coin flip on scheduler jitter.
-    /// Returns whether the warning fired.
-    pub fn slower_than(
-        &mut self,
-        fast_ms: f64,
-        ref_ms: f64,
-        tolerance: f64,
-        msg: impl FnOnce() -> String,
-    ) -> bool {
-        if fast_ms > ref_ms * (1.0 + tolerance) {
-            self.warn(msg());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The warnings collected so far.
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
-    }
-
-    /// Whether nothing has fired.
-    pub fn is_empty(&self) -> bool {
-        self.warnings.is_empty()
     }
 
     /// The report's `"warnings": [...]` element contents (escaped,
@@ -78,13 +45,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tolerance_absorbs_noise_but_not_regressions() {
+    fn warnings_render_as_a_json_array() {
         let mut log = WarnLog::new();
-        assert!(!log.slower_than(102.0, 100.0, 0.05, || "noise".into()));
-        assert!(log.is_empty());
-        assert!(log.slower_than(110.0, 100.0, 0.05, || "real".into()));
-        assert_eq!(log.warnings(), ["real"]);
-        assert_eq!(log.json_array(), "\"real\"");
+        assert_eq!(log.json_array(), "");
+        log.warn("real".into());
+        log.warn("a \"quoted\" one".into());
+        assert_eq!(log.json_array(), r#""real", "a \"quoted\" one""#);
     }
 
     #[test]

@@ -45,16 +45,14 @@ pub struct PipelineConfig {
     /// [`crate::resilience`]). Irrelevant when the model never fails
     /// (plain [`simllm::SimLlm`]): the first attempt always succeeds.
     pub resilience: ResilienceConfig,
-    /// Which scan the base index runs per retrieval query. Token
-    /// pruning is the default and returns hits bit-identical to the
-    /// exact scan (see [`semvec::SegmentedIndex::top_k_noisy_encoded`]);
-    /// `Exact` scans every document.
+    /// Which documents a retrieval query scans. One value (every
+    /// document); kept only because the QA benchmark passes it to
+    /// [`crate::retrieval::BaseIndex::search_batch`].
     pub retrieval_mode: RetrievalMode,
-    /// How candidate documents are scored inside a scan. The default
-    /// screens with the int8 kernel and reranks the margin band with
-    /// exact f32 (bit-identical hits by the quantization error-bound
-    /// contract — see [`semvec::quant`]); `ExactF32` scores every
-    /// scanned document in plain f32.
+    /// How a scan scores each document. One value (the int8 screen with
+    /// an exact f32 rerank, see [`semvec::quant`]); kept only because
+    /// the QA benchmark passes it to
+    /// [`crate::retrieval::BaseIndex::search_batch`].
     pub scoring_mode: ScoringMode,
     /// Worker threads for the question-level runner pool. `0` (the
     /// default) resolves to the machine's available parallelism.
@@ -62,13 +60,6 @@ pub struct PipelineConfig {
     /// [`crate::runner::run`] override this. Results are byte-identical
     /// at every value — the pool only changes wall-clock time.
     pub runner_threads: usize,
-    /// Candidate-fraction ceiling for the adaptive pruning gate (see
-    /// [`crate::retrieval::BaseIndex`]): a pruned retrieval falls back
-    /// to the exact scan, per query, when the postings estimate says
-    /// the candidate set would exceed this fraction of the corpus
-    /// (relaxed for pure-f32 scoring, where pruning pays much longer).
-    /// Hits are bit-identical either way; the gate is pure routing.
-    pub prune_gate: f32,
 }
 
 impl Default for PipelineConfig {
@@ -87,7 +78,6 @@ impl Default for PipelineConfig {
             retrieval_mode: RetrievalMode::default(),
             scoring_mode: ScoringMode::default(),
             runner_threads: 0,
-            prune_gate: crate::retrieval::PRUNE_GATE_DEFAULT,
         }
     }
 }

@@ -47,7 +47,7 @@ pub use resilience::{
 };
 pub use retrieval::{
     ground_graph, ground_graph_with, BaseIndex, CacheStats, GroundBatchFn, QuerySlot,
-    RetrievalMode, RetrievalStats, ScoringMode, ScoringStats, PRUNE_GATE_DEFAULT,
+    RetrievalMode, RetrievalStats, ScoringMode, ScoringStats,
 };
 pub use runner::{run, score_answer, FaultSummary, Record, RunError, RunResult, StageAgg};
 pub use serve::{

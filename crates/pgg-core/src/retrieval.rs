@@ -20,21 +20,13 @@
 //! Retrieval is linking-free, as in the paper: a plain noisy top-k
 //! search over the question-scoped KG, with the two pruning steps
 //! applied afterwards. The base index is a sharded [`SegmentedIndex`]
-//! (fixed-size segments, each with its own int8 quant shadow and token
-//! postings), queries go through a bounded thread-safe embedding
-//! cache, and dataset-level builds encode across threads with
-//! deterministic output. Every question's queries run as one
-//! deduplicated [`BaseIndex::search_batch`] call, and every scan it can
-//! pick is bit-identical to the naive oracle `semvec::reference_top_k`
-//! (see `semvec::seg` for the proofs).
-//!
-//! [`RetrievalMode`] picks the candidates: the default token-postings
-//! pruning sits behind an adaptive gate that sends a query to the full
-//! scan when its postings estimate says pruning cannot pay. Each gate
-//! decision is memoized per unique query, so fan-out duplicates and
-//! repeat queries are decided — and counted — once. [`ScoringMode`]
-//! picks the scoring: the int8 screen with an exact f32 rerank by
-//! default. Neither knob ever changes a hit.
+//! (fixed-size segments, each with its own int8 quant shadow), queries
+//! go through a bounded thread-safe embedding cache, and dataset-level
+//! builds encode across threads with deterministic output. Every
+//! question's queries run as one deduplicated
+//! [`BaseIndex::search_batch`] call: one batched int8 screen over the
+//! whole base with an exact f32 rerank, bit-identical to the naive
+//! oracle `semvec::reference_top_k` (see `semvec::seg` for the proof).
 
 use crate::config::PipelineConfig;
 use crate::prune::Candidate;
@@ -46,39 +38,28 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Which scan the base index runs per query.
+/// Which documents a search scans: always every indexed triple.
+/// [`BaseIndex::search_batch`] ignores it. The type stays, with one
+/// variant, only because the QA benchmark (`qabench/`) passes
+/// [`PipelineConfig::retrieval_mode`] to `search_batch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
-    /// Token-postings candidate pruning + exact rerank behind the
-    /// adaptive gate (the default; hits are bit-identical to
-    /// [`Exact`] under the segmented index's zero-overlap ceiling
-    /// contract, which the perf bench asserts).
-    ///
-    /// [`Exact`]: RetrievalMode::Exact
+    /// Scan every indexed triple.
     #[default]
-    Pruned,
-    /// Brute-force scan of every indexed triple.
     Exact,
 }
 
-/// How each scanned document is scored. Orthogonal to
-/// [`RetrievalMode`]: retrieval mode decides *which* documents are
-/// scanned, scoring mode decides *how* each is scored.
+/// How a search scores each scanned document: always the int8 screen
+/// of every document with an exact f32 rerank of everything within the
+/// provable per-pair error bound of the quantized k-th score (see
+/// [`semvec::quant`]). [`BaseIndex::search_batch`] ignores it. The type
+/// stays, with one variant, only because the QA benchmark (`qabench/`)
+/// passes [`PipelineConfig::scoring_mode`] to `search_batch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoringMode {
-    /// The quantized two-stage engine: int8 screen of every scanned
-    /// document, exact f32 rerank of everything within the provable
-    /// per-pair error bound of the quantized k-th score. Bit-identical
-    /// to [`ExactF32`] — same ids, same scores, same tie-break order —
-    /// by construction (see [`semvec::quant`]); the perf bench and the
-    /// CI smoke assert it on every run.
-    ///
-    /// [`ExactF32`]: ScoringMode::ExactF32
+    /// Int8 screen, exact f32 rerank.
     #[default]
     QuantizedScreen,
-    /// The plain f32 dot for every scanned document (the reference
-    /// path the quantized engine is checked against).
-    ExactF32,
 }
 
 /// Upper bound on cached query embeddings. Entries are one `dim`-float
@@ -326,28 +307,16 @@ pub struct ScoringStats {
     /// Slots that shared another slot's encoding and scan because their
     /// (style, salt, text) key was a duplicate within the batch.
     pub batch_deduped: u64,
-    /// Queries answered through the pruned (token-postings) scan.
+    /// Always zero. Retrieval has no pruned route; this field and the
+    /// three below stay because the QA benchmark's traced replay
+    /// (`qabench/`) still reads them.
     pub pruned_queries: u64,
-    /// Candidate documents those pruned scans actually visited (the
-    /// full base is `pruned_queries × base.len()` documents; the gap is
-    /// what pruning saved).
+    /// Always zero (see `pruned_queries`).
     pub pruned_candidates: u64,
-    /// Pruned-mode queries the adaptive gate routed to the exact scan
-    /// because the postings estimate said pruning could not pay for
-    /// its candidate materialization. Not counted in `pruned_queries`,
-    /// so [`Self::candidate_fraction`] keeps describing the scans that
-    /// actually pruned. Like `pruned_queries`, counted once per
-    /// *unique* routing decision — duplicates are served by the route
-    /// memo.
+    /// Always zero (see `pruned_queries`).
     pub gate_fallbacks: u64,
-    /// Always zero. Retrieval has no entity route; the field stays
-    /// because the QA benchmark's traced replay (`qabench/`) still
-    /// reads it.
+    /// Always zero (see `pruned_queries`).
     pub entity_queries: u64,
-    /// Routing decisions served from the bounded route memo instead of
-    /// being recomputed (repeat queries; batch fan-out duplicates are
-    /// collapsed even earlier, by slot dedup).
-    pub route_memo_hits: u64,
 }
 
 impl ScoringStats {
@@ -378,62 +347,11 @@ impl ScoringStats {
             self.batch_deduped as f64 / self.batch_slots as f64
         }
     }
-
-    /// Mean fraction of the base each pruned query actually scanned
-    /// (1.0 would mean pruning never dropped a document). Per unique
-    /// routed query: the route memo decides — and counts — each
-    /// distinct (style, gate-relax, text) key once.
-    pub fn candidate_fraction(&self, base_len: usize) -> f64 {
-        let denom = self.pruned_queries as f64 * base_len as f64;
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.pruned_candidates as f64 / denom
-        }
-    }
-}
-
-/// Default candidate-fraction ceiling of the adaptive pruning gate
-/// (see [`PipelineConfig::prune_gate`]): under quantized scoring a
-/// pruned scan must promise a candidate set below this fraction of
-/// the corpus, or the query runs the exact SoA scan instead. The
-/// break-even point comes from the perf bench: the batched int8
-/// screen costs so little per document that candidate
-/// materialization + gathered scoring + the suspect audit only wins
-/// when the candidate set is genuinely small.
-pub const PRUNE_GATE_DEFAULT: f32 = 0.05;
-
-/// Gate relaxation under [`ScoringMode::ExactF32`]: without the int8
-/// screen a full scan pays ~3× more per document, so pruning stays
-/// profitable up to a proportionally larger candidate fraction
-/// (retrieval-kernel bench: pruned wins ~1.9× at fraction 0.08 in
-/// f32, while losing under quantized batched scoring).
-const GATE_F32_RELAX: f32 = 4.0;
-
-/// Bounded capacity of the route memo (entries, FIFO eviction).
-const ROUTE_MEMO_CAP: usize = 4096;
-
-/// One memoized routing decision of the pruned path. Cheap to clone —
-/// candidate lists are shared, so batch fan-out never copies them.
-#[derive(Clone)]
-enum Route {
-    /// The gate admitted the query: its token-postings candidates.
-    Token(Arc<Vec<u32>>),
-    /// The gate refused; the query runs the exact scan.
-    Fallback,
-}
-
-/// Bounded FIFO memo of routing decisions, keyed by (folded style,
-/// f32-relaxed gate, query text) — the inputs the decision depends on.
-#[derive(Default)]
-struct RouteMemo {
-    map: FxHashMap<(bool, bool, String), Route>,
-    fifo: VecDeque<(bool, bool, String)>,
 }
 
 /// A pre-encoded semantic KG: verbalised triples, their subject atoms
-/// (into the source's table), and the hybrid (postings + vector) index,
-/// plus a query-embedding cache.
+/// (into the source's table), and their vector index, plus a
+/// query-embedding cache.
 pub struct BaseIndex {
     /// Verbalised triples in index order.
     pub verbalised: Vec<StrTriple>,
@@ -441,17 +359,11 @@ pub struct BaseIndex {
     pub subjects: Vec<Atom>,
     index: SegmentedIndex,
     cache: QueryCache,
-    routes: Mutex<RouteMemo>,
-    prune_gate: f32,
     screened: AtomicU64,
     reranked: AtomicU64,
     batches: AtomicU64,
     batch_slots: AtomicU64,
     batch_deduped: AtomicU64,
-    pruned_queries: AtomicU64,
-    pruned_candidates: AtomicU64,
-    gate_fallbacks: AtomicU64,
-    route_memo_hits: AtomicU64,
 }
 
 impl BaseIndex {
@@ -485,8 +397,7 @@ impl BaseIndex {
         self.cache.stats()
     }
 
-    /// Quantized-scoring counters accumulated over every search this
-    /// index served (zero when only [`ScoringMode::ExactF32`] ran).
+    /// Scan counters accumulated over every search this index served.
     pub fn scoring_stats(&self) -> ScoringStats {
         ScoringStats {
             screened: self.screened.load(Ordering::Relaxed),
@@ -494,90 +405,16 @@ impl BaseIndex {
             batches: self.batches.load(Ordering::Relaxed),
             batch_slots: self.batch_slots.load(Ordering::Relaxed),
             batch_deduped: self.batch_deduped.load(Ordering::Relaxed),
-            pruned_queries: self.pruned_queries.load(Ordering::Relaxed),
-            pruned_candidates: self.pruned_candidates.load(Ordering::Relaxed),
-            gate_fallbacks: self.gate_fallbacks.load(Ordering::Relaxed),
+            pruned_queries: 0,
+            pruned_candidates: 0,
+            gate_fallbacks: 0,
             entity_queries: 0,
-            route_memo_hits: self.route_memo_hits.load(Ordering::Relaxed),
         }
     }
 
     fn record_screen(&self, stats: ScreenStats) {
         self.screened.fetch_add(stats.screened, Ordering::Relaxed);
         self.reranked.fetch_add(stats.reranked, Ordering::Relaxed);
-    }
-
-    fn record_pruned(&self, candidates: usize) {
-        self.pruned_queries.fetch_add(1, Ordering::Relaxed);
-        self.pruned_candidates
-            .fetch_add(candidates as u64, Ordering::Relaxed);
-    }
-
-    /// Resolve (and memoize) the pruned path's routing decision for
-    /// one query. Each unique (folded, gate-relax, text) key is
-    /// computed — and counted — exactly once; repeat queries are
-    /// served from the bounded memo, and batch fan-out duplicates are
-    /// collapsed even earlier by slot dedup. Routing never changes
-    /// hits: both routes are bit-identical to the exact scan.
-    fn route_query(
-        &self,
-        embedder: &Embedder,
-        text: &str,
-        style: QueryStyle,
-        scoring: ScoringMode,
-    ) -> Route {
-        let key = (
-            style == QueryStyle::Folded,
-            scoring == ScoringMode::ExactF32,
-            text.to_string(),
-        );
-        // The lock is held across the computation on purpose: the
-        // counters must tick exactly once per unique key whatever the
-        // thread interleaving.
-        let mut memo = self.routes.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(r) = memo.map.get(&key) {
-            self.route_memo_hits.fetch_add(1, Ordering::Relaxed);
-            return r.clone();
-        }
-        let route = self.compute_route(embedder, text, style, scoring);
-        memo.map.insert(key.clone(), route.clone());
-        memo.fifo.push_back(key);
-        if memo.fifo.len() > ROUTE_MEMO_CAP {
-            let old = memo.fifo.pop_front().expect("over-capacity memo");
-            memo.map.remove(&old);
-        }
-        route
-    }
-
-    /// The uncached routing decision of the adaptive gate: candidate
-    /// generation behind a postings-sum admission estimate.
-    /// A refused gate is counted as a fallback, *not* a pruned query,
-    /// so `candidate_fraction` keeps describing actual pruned scans.
-    fn compute_route(
-        &self,
-        embedder: &Embedder,
-        text: &str,
-        style: QueryStyle,
-        scoring: ScoringMode,
-    ) -> Route {
-        let relax = match scoring {
-            ScoringMode::QuantizedScreen => 1.0,
-            ScoringMode::ExactF32 => GATE_F32_RELAX,
-        };
-        let max_cands = (self.prune_gate * relax * self.len() as f32) as usize;
-        match self
-            .index
-            .candidates_if_under(embedder, text, style, max_cands)
-        {
-            Ok(cands) => {
-                self.record_pruned(cands.len());
-                Route::Token(Arc::new(cands))
-            }
-            Err(_estimate) => {
-                self.gate_fallbacks.fetch_add(1, Ordering::Relaxed);
-                Route::Fallback
-            }
-        }
     }
 
     /// Build from an explicit set of triples of a source (serial).
@@ -618,28 +455,12 @@ impl BaseIndex {
             subjects,
             index,
             cache: QueryCache::new(),
-            routes: Mutex::new(RouteMemo::default()),
-            prune_gate: PRUNE_GATE_DEFAULT,
             screened: AtomicU64::new(0),
             reranked: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batch_slots: AtomicU64::new(0),
             batch_deduped: AtomicU64::new(0),
-            pruned_queries: AtomicU64::new(0),
-            pruned_candidates: AtomicU64::new(0),
-            gate_fallbacks: AtomicU64::new(0),
-            route_memo_hits: AtomicU64::new(0),
         }
-    }
-
-    /// Override the adaptive pruning gate's candidate-fraction
-    /// ceiling. `0.0` routes effectively every overlapping query to
-    /// the exact scan; `f32::INFINITY` disables the gate (every
-    /// pruned-mode query prunes). Routing only — hits are identical
-    /// at any value.
-    pub fn with_prune_gate(mut self, gate: f32) -> Self {
-        self.prune_gate = gate;
-        self
     }
 
     /// The paper's per-dataset construction: union of question-scoped
@@ -675,7 +496,6 @@ impl BaseIndex {
             }
         }
         Self::from_triples_parallel(source, embedder, union, threads)
-            .with_prune_gate(cfg.prune_gate)
     }
 
     /// Question-scoped construction (used when no dataset-level index
@@ -691,7 +511,6 @@ impl BaseIndex {
             embedder,
             extract(source, question, &cfg.extract).triples,
         )
-        .with_prune_gate(cfg.prune_gate)
     }
 
     /// Encode a query through the embedding cache.
@@ -706,11 +525,12 @@ impl BaseIndex {
 
     /// Noisy top-k for a whole batch of queries in one pass over the
     /// base. Each slot's text is encoded per its `style` (pseudo-triple
-    /// sentences fold; question-style text does not) and scanned on the
-    /// path `mode` × `scoring` selects; result `i` is bit-identical to
-    /// `semvec::reference_top_k` over the encoded query with
-    /// `slots[i].salt`, whatever the mode, the scoring, the gate's
-    /// decision, or the batch around it.
+    /// sentences fold; question-style text does not) and scanned by
+    /// `semvec::SegmentedIndex::top_k_noisy_quant_batch`; result `i` is
+    /// bit-identical to `semvec::reference_top_k` over the encoded query
+    /// with `slots[i].salt`, whatever the batch around it. The two mode
+    /// arguments are ignored (each type has one value; see
+    /// [`RetrievalMode`]).
     ///
     /// Slots with the same (style, salt, text) key are encoded and
     /// scanned once; the shared result fans back out to every duplicate
@@ -721,8 +541,8 @@ impl BaseIndex {
         slots: &[QuerySlot<'_>],
         k: usize,
         sigma: f32,
-        mode: RetrievalMode,
-        scoring: ScoringMode,
+        _mode: RetrievalMode,
+        _scoring: ScoringMode,
     ) -> Vec<Vec<Hit>> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_slots
@@ -759,67 +579,23 @@ impl BaseIndex {
             .map(|&i| self.query_vector(embedder, slots[i].text, slots[i].style))
             .collect();
 
-        let results: Vec<Vec<Hit>> = match mode {
-            RetrievalMode::Exact => {
-                let queries: Vec<semvec::NoisyQuery<'_>> = unique
-                    .iter()
-                    .zip(&vectors)
-                    .map(|(&i, v)| semvec::NoisyQuery {
-                        vector: v.as_slice(),
-                        salt: slots[i].salt,
-                    })
-                    .collect();
-                match scoring {
-                    ScoringMode::ExactF32 => self.index.top_k_noisy_batch(&queries, k, sigma),
-                    ScoringMode::QuantizedScreen => self
-                        .index
-                        .top_k_noisy_quant_batch(&queries, k, sigma)
-                        .into_iter()
-                        .map(|(hits, stats)| {
-                            self.record_screen(stats);
-                            hits
-                        })
-                        .collect(),
-                }
-            }
-            RetrievalMode::Pruned => {
-                // A gate fallback's *empty* candidate list routes
-                // through the pruned engine's documented full-scan
-                // fallback, i.e. exactly the exact arm's scan.
-                static NO_CANDS: &[u32] = &[];
-                let routes: Vec<Route> = unique
-                    .iter()
-                    .map(|&i| self.route_query(embedder, slots[i].text, slots[i].style, scoring))
-                    .collect();
-                let pruned: Vec<semvec::BatchSlot<'_>> = unique
-                    .iter()
-                    .zip(&routes)
-                    .zip(&vectors)
-                    .map(|((&i, route), v)| semvec::BatchSlot {
-                        query: v.as_slice(),
-                        cands: match route {
-                            Route::Token(cands) => cands.as_slice(),
-                            Route::Fallback => NO_CANDS,
-                        },
-                        salt: slots[i].salt,
-                    })
-                    .collect();
-                match scoring {
-                    ScoringMode::ExactF32 => {
-                        self.index.top_k_noisy_encoded_batch(&pruned, k, sigma)
-                    }
-                    ScoringMode::QuantizedScreen => {
-                        let (hits, stats) = self
-                            .index
-                            .top_k_noisy_encoded_quant_batch(&pruned, k, sigma);
-                        for s in stats {
-                            self.record_screen(s);
-                        }
-                        hits
-                    }
-                }
-            }
-        };
+        let queries: Vec<semvec::NoisyQuery<'_>> = unique
+            .iter()
+            .zip(&vectors)
+            .map(|(&i, v)| semvec::NoisyQuery {
+                vector: v.as_slice(),
+                salt: slots[i].salt,
+            })
+            .collect();
+        let results: Vec<Vec<Hit>> = self
+            .index
+            .top_k_noisy_quant_batch(&queries, k, sigma)
+            .into_iter()
+            .map(|(hits, stats)| {
+                self.record_screen(stats);
+                hits
+            })
+            .collect();
 
         // Fan the unique results back out to every original slot.
         slot_of.into_iter().map(|u| results[u].clone()).collect()
@@ -855,7 +631,7 @@ pub struct RetrievalStats {
 /// A substitute executor for the one batched retrieval call a question
 /// makes during grounding: hands back, slot for slot, exactly what
 /// [`BaseIndex::search_batch`] would return for these slots with the
-/// pipeline's (k, sigma, mode, scoring). The serving layer routes this
+/// pipeline's (k, sigma). The serving layer routes this
 /// through its cross-question admission batcher; the bit-identity
 /// contract of `search_batch` makes the substitution outcome-neutral.
 pub type GroundBatchFn<'h> = dyn Fn(&[QuerySlot<'_>]) -> Vec<Vec<Hit>> + 'h;
@@ -1038,35 +814,6 @@ mod tests {
         BaseIndex::for_question(src, emb, &cfg(), question)
     }
 
-    const MODES: [(RetrievalMode, ScoringMode); 4] = [
-        (RetrievalMode::Pruned, ScoringMode::QuantizedScreen),
-        (RetrievalMode::Pruned, ScoringMode::ExactF32),
-        (RetrievalMode::Exact, ScoringMode::QuantizedScreen),
-        (RetrievalMode::Exact, ScoringMode::ExactF32),
-    ];
-
-    /// One query through [`BaseIndex::search_batch`].
-    #[allow(clippy::too_many_arguments)]
-    fn search_one(
-        base: &BaseIndex,
-        emb: &Embedder,
-        text: &str,
-        k: usize,
-        sigma: f32,
-        salt: u64,
-        mode: RetrievalMode,
-        scoring: ScoringMode,
-    ) -> Vec<Hit> {
-        let slot = QuerySlot {
-            text,
-            style: QueryStyle::Folded,
-            salt,
-        };
-        base.search_batch(emb, &[slot], k, sigma, mode, scoring)
-            .pop()
-            .expect("one slot in, one result out")
-    }
-
     /// The naive oracle for one query slot over the base's rows.
     fn oracle(
         base: &BaseIndex,
@@ -1083,7 +830,7 @@ mod tests {
     }
 
     /// The ground graph the oracle's hits produce, for comparison with
-    /// every retrieval × scoring mode.
+    /// the scan's.
     fn oracle_ground(
         src: &KgSource,
         base: &BaseIndex,
@@ -1161,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_and_exact_modes_agree_on_ground_graphs() {
+    fn ground_graph_matches_the_oracle_ground() {
         let src = source();
         let emb = Embedder::default();
         let base = base_for(&src, &emb, "Where was Yao Ming born in Shanghai?");
@@ -1171,33 +918,10 @@ mod tests {
         ];
         let want = oracle_ground(&src, &base, &emb, &cfg(), &pseudo);
         assert!(!want.is_empty());
-        for mode in [RetrievalMode::Pruned, RetrievalMode::Exact] {
-            let mut c = cfg();
-            c.retrieval_mode = mode;
-            let (g, _) = ground_graph(&src, &base, &emb, &c, &pseudo);
-            assert_same_ground(&g, &want, &format!("{mode:?}"));
-        }
-    }
-
-    #[test]
-    fn quantized_and_exact_scoring_agree_on_ground_graphs() {
-        let src = source();
-        let emb = Embedder::default();
-        let base = base_for(&src, &emb, "Where was Yao Ming born in Shanghai?");
-        let pseudo = vec![
-            StrTriple::new("Yao Ming", "BORN_IN", "Shanghai"),
-            StrTriple::new("Shanghai", "LOCATED_IN", "China"),
-        ];
-        let want = oracle_ground(&src, &base, &emb, &cfg(), &pseudo);
-        for (mode, scoring) in MODES {
-            let mut c = cfg();
-            c.retrieval_mode = mode;
-            c.scoring_mode = scoring;
-            let (g, _) = ground_graph(&src, &base, &emb, &c, &pseudo);
-            assert_same_ground(&g, &want, &format!("{mode:?}/{scoring:?}"));
-        }
+        let (g, _) = ground_graph(&src, &base, &emb, &cfg(), &pseudo);
+        assert_same_ground(&g, &want, "scan vs oracle");
         let stats = base.scoring_stats();
-        assert!(stats.screened > 0, "quantized default path never engaged");
+        assert!(stats.screened > 0, "the int8 screen never engaged");
         assert!(stats.reranked <= stats.screened);
     }
 
@@ -1442,25 +1166,37 @@ mod tests {
                 salt: salt_a,
             },
         ];
-        for (mode, scoring) in MODES {
-            let results = base.search_batch(&emb, &slots, 5, 0.3, mode, scoring);
+        for _ in 0..2 {
+            let results = base.search_batch(
+                &emb,
+                &slots,
+                5,
+                0.3,
+                RetrievalMode::Exact,
+                ScoringMode::QuantizedScreen,
+            );
             assert_eq!(results.len(), 4);
             // Every slot, duplicates included, equals the oracle.
             for (r, s) in results.iter().zip(&slots) {
-                assert_eq!(r, &oracle(&base, &emb, s, 5, 0.3), "{mode:?}/{scoring:?}");
+                assert_eq!(r, &oracle(&base, &emb, s, 5, 0.3));
             }
         }
         let stats = base.scoring_stats();
-        assert_eq!(stats.batches, 4, "{stats:?}");
-        assert_eq!(stats.batch_slots, 16, "{stats:?}");
+        assert_eq!(stats.batches, 2, "{stats:?}");
+        assert_eq!(stats.batch_slots, 8, "{stats:?}");
         // Two duplicate slots collapsed per batch.
-        assert_eq!(stats.batch_deduped, 8, "{stats:?}");
+        assert_eq!(stats.batch_deduped, 4, "{stats:?}");
         assert!(stats.mean_batch_width() == 4.0, "{stats:?}");
         assert!(stats.dedup_rate() == 0.5, "{stats:?}");
+        // The counters kept for the QA benchmark never move.
+        assert_eq!(stats.pruned_queries, 0, "{stats:?}");
+        assert_eq!(stats.pruned_candidates, 0, "{stats:?}");
+        assert_eq!(stats.gate_fallbacks, 0, "{stats:?}");
+        assert_eq!(stats.entity_queries, 0, "{stats:?}");
         // Deduplicated slots never reach the cache: it counts the two
         // unique texts per batch only.
         let cache = base.cache_stats();
-        assert_eq!(cache.hits + cache.misses, 8, "{cache:?}");
+        assert_eq!(cache.hits + cache.misses, 4, "{cache:?}");
         assert_eq!(cache.misses, 2, "{cache:?}");
     }
 
@@ -1477,131 +1213,5 @@ mod tests {
         for pair in g.entities.windows(2) {
             assert!(pair[0].score >= pair[1].score);
         }
-    }
-
-    #[test]
-    fn adaptive_gate_routes_without_changing_hits() {
-        let src = source();
-        let emb = Embedder::default();
-        let slot = QuerySlot {
-            text: "Yao Ming born Shanghai",
-            style: QueryStyle::Folded,
-            salt: 7,
-        };
-        // A closed gate (0.0) refuses every overlapping query; a
-        // disabled gate (∞) admits every one. Hits must equal the
-        // oracle at both extremes and in between.
-        for gate in [0.0_f32, 0.05, f32::INFINITY] {
-            let base = base_for(&src, &emb, "Where was Yao Ming born?").with_prune_gate(gate);
-            let want = oracle(&base, &emb, &slot, 4, 0.3);
-            for (mode, scoring) in MODES {
-                let got = search_one(&base, &emb, slot.text, 4, 0.3, 7, mode, scoring);
-                assert_eq!(got, want, "gate {gate} under {mode:?}/{scoring:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn gate_decisions_are_counted_and_disjoint() {
-        let src = source();
-        let emb = Embedder::default();
-        let query = "Yao Ming born Shanghai";
-        let pruned = |base: &BaseIndex| {
-            search_one(
-                base,
-                &emb,
-                query,
-                4,
-                0.3,
-                7,
-                RetrievalMode::Pruned,
-                ScoringMode::QuantizedScreen,
-            )
-        };
-
-        // Closed gate: the overlapping query must fall back, and the
-        // fallback must NOT count as a pruned query (candidate
-        // fraction keeps describing scans that actually pruned).
-        let closed = base_for(&src, &emb, "Where was Yao Ming born?").with_prune_gate(0.0);
-        pruned(&closed);
-        let s = closed.scoring_stats();
-        assert_eq!(s.gate_fallbacks, 1, "{s:?}");
-        assert_eq!(s.pruned_queries, 0, "{s:?}");
-
-        // Disabled gate: same query prunes, no fallback.
-        let open = base_for(&src, &emb, "Where was Yao Ming born?").with_prune_gate(f32::INFINITY);
-        pruned(&open);
-        let s = open.scoring_stats();
-        assert_eq!(s.gate_fallbacks, 0, "{s:?}");
-        assert_eq!(s.pruned_queries, 1, "{s:?}");
-        assert_eq!(s.entity_queries, 0, "no entity route: {s:?}");
-
-        // Duplicate slots are one decision.
-        let batched = base_for(&src, &emb, "Where was Yao Ming born?").with_prune_gate(0.0);
-        let slots = [
-            QuerySlot {
-                text: query,
-                style: QueryStyle::Folded,
-                salt: 7,
-            },
-            QuerySlot {
-                text: query,
-                style: QueryStyle::Folded,
-                salt: 7,
-            },
-        ];
-        let hits = batched.search_batch(
-            &emb,
-            &slots,
-            4,
-            0.3,
-            RetrievalMode::Pruned,
-            ScoringMode::QuantizedScreen,
-        );
-        assert_eq!(hits[0], hits[1], "dedup fans out the fallback result");
-        let s = batched.scoring_stats();
-        assert_eq!(s.gate_fallbacks, 1, "one unique slot, one decision: {s:?}");
-        assert_eq!(s.pruned_queries, 0, "{s:?}");
-    }
-
-    #[test]
-    fn route_memo_decides_each_unique_query_once() {
-        let src = source();
-        let emb = Embedder::default();
-        let query = "Yao Ming born Shanghai";
-        let base = base_for(&src, &emb, "Where was Yao Ming born?").with_prune_gate(0.0);
-        for _ in 0..3 {
-            search_one(
-                &base,
-                &emb,
-                query,
-                4,
-                0.3,
-                7,
-                RetrievalMode::Pruned,
-                ScoringMode::QuantizedScreen,
-            );
-        }
-        let s = base.scoring_stats();
-        assert_eq!(s.gate_fallbacks, 1, "decision computed once: {s:?}");
-        assert_eq!(s.route_memo_hits, 2, "repeats served from the memo: {s:?}");
-        // The f32-relaxed gate is a distinct memo key: same text, new
-        // decision.
-        search_one(
-            &base,
-            &emb,
-            query,
-            4,
-            0.3,
-            7,
-            RetrievalMode::Pruned,
-            ScoringMode::ExactF32,
-        );
-        let s = base.scoring_stats();
-        assert_eq!(
-            s.gate_fallbacks + s.pruned_queries,
-            2,
-            "distinct relax keys decide separately: {s:?}"
-        );
     }
 }

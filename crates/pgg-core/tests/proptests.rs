@@ -1,18 +1,16 @@
 //! Property-based tests of the retrieval layer: parallel index builds
 //! must be byte-identical to the serial reference for any question
-//! subset and thread count, and every retrieval × scoring mode must
-//! return, through the public `search_batch` API, exactly the hits of
-//! the naive oracle `semvec::reference_top_k` — plus the determinism
-//! contracts of both execution layers: serving outcomes byte-identical
-//! for any worker count, and evaluation-runner results byte-identical
-//! for any thread count, under any fault weather. The adaptive pruning
-//! gate rides the same harness: for any gate setting it may only
-//! change *how* a query is scanned, never what it returns.
+//! subset and thread count, and the public `search_batch` API must
+//! return exactly the hits of the naive oracle
+//! `semvec::reference_top_k`, for folded and unfolded queries alike —
+//! plus the determinism contracts of both execution layers: serving
+//! outcomes byte-identical for any worker count, and evaluation-runner
+//! results byte-identical for any thread count, under any fault
+//! weather.
 //!
 //! Each property runs [`check`] over generated inputs; where a fixed
 //! sweep of corner cases is worth pinning (empty and wide batches,
-//! fault storms, gate settings from zero to infinity), it runs first,
-//! through the same body.
+//! fault storms), it runs first, through the same body.
 
 use kgstore::rng::check;
 use pgg_core::{
@@ -46,45 +44,31 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-const MODES: [(RetrievalMode, ScoringMode); 4] = [
-    (RetrievalMode::Pruned, ScoringMode::QuantizedScreen),
-    (RetrievalMode::Pruned, ScoringMode::ExactF32),
-    (RetrievalMode::Exact, ScoringMode::QuantizedScreen),
-    (RetrievalMode::Exact, ScoringMode::ExactF32),
-];
-
-/// One folded query through `search_batch`.
-#[allow(clippy::too_many_arguments)]
-fn search_one(
+/// `slots` through `search_batch`.
+fn search(
     base: &BaseIndex,
     embedder: &Embedder,
-    text: &str,
+    slots: &[QuerySlot<'_>],
     k: usize,
     sigma: f32,
-    salt: u64,
-    mode: RetrievalMode,
-    scoring: ScoringMode,
-) -> Vec<Hit> {
-    let slot = QuerySlot {
-        text,
-        style: QueryStyle::Folded,
-        salt,
-    };
-    base.search_batch(embedder, &[slot], k, sigma, mode, scoring)
-        .pop()
-        .expect("one slot in, one result out")
+) -> Vec<Vec<Hit>> {
+    let (mode, scoring) = (RetrievalMode::Exact, ScoringMode::QuantizedScreen);
+    base.search_batch(embedder, slots, k, sigma, mode, scoring)
 }
 
-/// The naive oracle for one folded query over the base's rows.
+/// The naive oracle for one query slot over the base's rows.
 fn oracle(
     base: &BaseIndex,
     embedder: &Embedder,
-    text: &str,
+    slot: &QuerySlot<'_>,
     k: usize,
     sigma: f32,
-    salt: u64,
 ) -> Vec<Hit> {
-    reference_top_k(base.segmented(), &embedder.encode(text), k, sigma, salt)
+    let q = match slot.style {
+        QueryStyle::Folded => embedder.encode(slot.text),
+        QueryStyle::Unfolded => embedder.encode_unfolded(slot.text),
+    };
+    reference_top_k(base.segmented(), &q, k, sigma, slot.salt)
 }
 
 /// `for_questions` builds the same index — same verbalised triples,
@@ -123,8 +107,8 @@ fn parallel_for_questions_is_byte_identical_to_serial() {
     });
 }
 
-/// The (question, k, salt) sweep both single-query properties run
-/// first, each point at sigma 0 and 0.30.
+/// The (question, k, salt) sweep the single-query property runs first,
+/// each point at sigma 0 and 0.30 and in both query styles.
 const SWEEP: [(usize, usize, u64); 6] = [
     (0, 1, 0),
     (3, 5, 0x9E3779B97F4A7C15),
@@ -134,99 +118,70 @@ const SWEEP: [(usize, usize, u64); 6] = [
     (39, 7, 7),
 ];
 
-/// Both retrieval modes under f32 scoring return the oracle's hits
-/// for any question, k, sigma, and salt; a question whose scoped
-/// extraction is empty gets no hits.
+/// One query through `search_batch` returns the oracle's hits for any
+/// question, k, sigma, salt and query style — folded (pseudo-triple
+/// sentences) and unfolded (question text, the QSM baseline's path);
+/// on a non-empty base every search runs the int8 screen, and a
+/// question whose scoped extraction is empty gets no hits.
 #[test]
-fn pruned_search_equals_oracle() {
+fn search_equals_oracle() {
     let fix = fixture();
     let embedder = Embedder::paper();
     let cfg = PipelineConfig::default();
-    let body = |base: &BaseIndex, qi: usize, k: usize, salt: u64, sigma: f32| {
-        let text = fix.questions[qi].as_str();
-        let want = oracle(base, &embedder, text, k, sigma, salt);
-        for mode in [RetrievalMode::Pruned, RetrievalMode::Exact] {
-            let search = |scoring| search_one(base, &embedder, text, k, sigma, salt, mode, scoring);
-            let got = search(ScoringMode::ExactF32);
+    let body = |base: &BaseIndex, qi: usize, k: usize, salt: u64, sigma: f32, style| {
+        let slot = QuerySlot {
+            text: fix.questions[qi].as_str(),
+            style,
+            salt,
+        };
+        let before = base.scoring_stats();
+        let got = search(base, &embedder, &[slot], k, sigma).pop();
+        let got = got.expect("one slot in, one result out");
+        let at = format!("qi={qi} k={k} salt={salt} sigma={sigma} {style:?}");
+        assert!(
+            !base.is_empty() || got.is_empty(),
+            "empty base returned hits: {at}"
+        );
+        assert_eq!(
+            got,
+            oracle(base, &embedder, &slot, k, sigma),
+            "diverged from the oracle: {at}"
+        );
+        let stats = base.scoring_stats();
+        assert!(stats.reranked <= stats.screened);
+        if !base.is_empty() {
             assert!(
-                !base.is_empty() || got.is_empty(),
-                "empty base returned hits: qi={qi} {mode:?}"
-            );
-            assert_eq!(
-                got, want,
-                "diverged from the oracle: qi={qi} k={k} salt={salt} sigma={sigma} {mode:?}"
+                stats.screened > before.screened,
+                "the int8 screen never engaged: {at}"
             );
         }
     };
     for (qi, k, salt) in SWEEP {
         let base = BaseIndex::for_question(&fix.source, &embedder, &cfg, &fix.questions[qi]);
         for sigma in [0.0f32, 0.30] {
-            body(&base, qi, k, salt, sigma);
+            for style in [QueryStyle::Folded, QueryStyle::Unfolded] {
+                body(&base, qi, k, salt, sigma, style);
+            }
         }
     }
     check(256, 2, |rng| {
         let qi = rng.random_range(0..40);
         let (k, salt) = (rng.random_range(1..20), rng.next_u64());
-        let sigma = (rng.random_f64() * 0.6) as f32;
-        let base = BaseIndex::for_question(&fix.source, &embedder, &cfg, &fix.questions[qi]);
-        body(&base, qi, k, salt, sigma);
-    });
-}
-
-/// The quantized screen+rerank engine returns the oracle's hits in
-/// both retrieval modes, at the pipeline's default jitter (sigma =
-/// 0.30) and with noise off (sigma = 0); on a non-empty base every
-/// search runs the int8 screen, and an empty base gets no hits.
-#[test]
-fn quantized_search_equals_oracle() {
-    let fix = fixture();
-    let embedder = Embedder::paper();
-    let cfg = PipelineConfig::default();
-    let body =
-        |base: &BaseIndex, qi: usize, k: usize, salt: u64, noisy: bool, mode: RetrievalMode| {
-            let sigma = if noisy { 0.30 } else { 0.0 };
-            let text = fix.questions[qi].as_str();
-            let before = base.scoring_stats();
-            let search = |scoring| search_one(base, &embedder, text, k, sigma, salt, mode, scoring);
-            let quant = search(ScoringMode::QuantizedScreen);
-            let at = format!("qi={qi} k={k} salt={salt} sigma={sigma} {mode:?}");
-            assert!(
-                !base.is_empty() || quant.is_empty(),
-                "empty base returned hits: {at}"
-            );
-            assert_eq!(quant, oracle(base, &embedder, text, k, sigma, salt), "{at}");
-            let stats = base.scoring_stats();
-            assert!(stats.reranked <= stats.screened);
-            if !base.is_empty() {
-                assert!(
-                    stats.screened > before.screened,
-                    "quantized path never engaged: {at}"
-                );
-            }
+        let sigma = match rng.random_range(0..3) {
+            0 => 0.0,
+            1 => 0.30,
+            _ => (rng.random_f64() * 0.6) as f32,
         };
-    for (qi, k, salt) in SWEEP {
+        let style = [QueryStyle::Folded, QueryStyle::Unfolded][rng.random_range(0..2)];
         let base = BaseIndex::for_question(&fix.source, &embedder, &cfg, &fix.questions[qi]);
-        for noisy in [false, true] {
-            for mode in [RetrievalMode::Pruned, RetrievalMode::Exact] {
-                body(&base, qi, k, salt, noisy, mode);
-            }
-        }
-    }
-    check(256, 3, |rng| {
-        let qi = rng.random_range(0..40);
-        let (k, salt) = (rng.random_range(1..20), rng.next_u64());
-        let noisy = rng.random_bool();
-        let mode = [RetrievalMode::Pruned, RetrievalMode::Exact][rng.random_range(0..2)];
-        let base = BaseIndex::for_question(&fix.source, &embedder, &cfg, &fix.questions[qi]);
-        body(&base, qi, k, salt, noisy, mode);
+        body(&base, qi, k, salt, sigma, style);
     });
 }
 
 /// `search_batch` returns, slot for slot, the oracle's hits — for
-/// arbitrary batch widths (empty and singleton included), duplicate
-/// slots, and the full retrieval × scoring cross product. The sweep
-/// over a 12-question base must engage the batch entry and collapse
-/// its duplicate slots.
+/// arbitrary batch widths (empty and singleton included) and duplicate
+/// slots. The sweep over a 12-question base must engage the batch entry
+/// and collapse its duplicate slots.
 #[test]
 fn batched_search_equals_oracle() {
     let fix = fixture();
@@ -240,7 +195,7 @@ fn batched_search_equals_oracle() {
             fix.questions.iter().take(n).map(|s| s.as_str()),
         )
     };
-    let body = |base: &BaseIndex, texts: &[&str], k: usize, sigma: f32, mode, scoring| {
+    let body = |base: &BaseIndex, texts: &[&str], k: usize, sigma: f32| {
         let slots: Vec<QuerySlot<'_>> = texts
             .iter()
             .map(|t| QuerySlot {
@@ -249,13 +204,13 @@ fn batched_search_equals_oracle() {
                 salt: kgstore::hash::stable_str_hash(t),
             })
             .collect();
-        let batched = base.search_batch(&embedder, &slots, k, sigma, mode, scoring);
+        let batched = search(base, &embedder, &slots, k, sigma);
         assert_eq!(batched.len(), slots.len());
         for (got, s) in batched.iter().zip(&slots) {
             assert_eq!(
                 got,
-                &oracle(base, &embedder, s.text, k, sigma, s.salt),
-                "diverged from the oracle: width={} k={k} sigma={sigma} {mode:?}/{scoring:?}",
+                &oracle(base, &embedder, s, k, sigma),
+                "diverged from the oracle: width={} k={k} sigma={sigma}",
                 slots.len()
             );
         }
@@ -274,12 +229,10 @@ fn batched_search_equals_oracle() {
         if width >= 2 {
             texts[width - 1] = texts[0];
         }
-        for (mode, scoring) in MODES {
-            body(&base, &texts, k, sigma, mode, scoring);
-        }
+        body(&base, &texts, k, sigma);
     }
     let stats = base.scoring_stats();
-    assert!(stats.batches >= 20, "batch entry engaged: {stats:?}");
+    assert_eq!(stats.batches, 5, "batch entry engaged: {stats:?}");
     assert!(
         stats.batch_deduped > 0,
         "duplicate slots collapsed: {stats:?}"
@@ -288,12 +241,11 @@ fn batched_search_equals_oracle() {
         let picks = rng.vec(0..8, |r| r.random_range(0..40));
         let dup = rng.random_bool();
         let (k, sigma) = (rng.random_range(1..20), (rng.random_f64() * 0.6) as f32);
-        let (mode, scoring) = MODES[rng.random_range(0..MODES.len())];
         let mut texts: Vec<&str> = picks.iter().map(|&i| fix.questions[i].as_str()).collect();
         if dup && !texts.is_empty() {
             texts.push(texts[0]);
         }
-        body(&base_over(10), &texts, k, sigma, mode, scoring);
+        body(&base_over(10), &texts, k, sigma);
     });
 }
 
@@ -476,68 +428,5 @@ fn runner_results_are_identical_across_thread_counts() {
         } else {
             FaultPlan::uniform(seed, rate)
         });
-    });
-}
-
-/// For any gate setting, the adaptive pruning gate may only choose
-/// *how* a query is scanned (pruned candidates vs exact fallback),
-/// never what it returns: both retrieval modes return the oracle's
-/// hits, and each pruned search — only those — is decided exactly
-/// once. A zero gate admits nothing and an infinite one refuses
-/// nothing. A sweep of gates from 0 to ∞ over a 6-question base runs
-/// first.
-#[test]
-fn adaptive_gate_never_changes_hits() {
-    let fix = fixture();
-    let embedder = Embedder::paper();
-    let cfg = PipelineConfig::default();
-    let body = |base: &BaseIndex, gate: f32, qi: usize, k: usize, salt: u64, scoring| {
-        let text = fix.questions[qi].as_str();
-        let want = oracle(base, &embedder, text, k, 0.30, salt);
-        let before = base.scoring_stats();
-        for mode in [RetrievalMode::Pruned, RetrievalMode::Exact] {
-            let got = search_one(base, &embedder, text, k, 0.30, salt, mode, scoring);
-            assert_eq!(
-                got, want,
-                "gate={gate} qi={qi} k={k} {mode:?}/{scoring:?}: hits diverged"
-            );
-        }
-        let stats = base.scoring_stats();
-        let pruned = stats.pruned_queries - before.pruned_queries;
-        let fallbacks = stats.gate_fallbacks - before.gate_fallbacks;
-        assert_eq!(
-            pruned + fallbacks,
-            1,
-            "gate={gate}: the pruned search decided exactly once ({stats:?})"
-        );
-        if gate == 0.0 {
-            assert_eq!(pruned, 0, "zero gate admits nothing");
-        }
-        if gate.is_infinite() {
-            assert_eq!(fallbacks, 0, "infinite gate refuses nothing");
-        }
-    };
-    for gate in [0.0f32, 0.01, 0.05, 0.2, 1.0, f32::INFINITY] {
-        let base = BaseIndex::for_questions(
-            &fix.source,
-            &embedder,
-            &cfg,
-            fix.questions.iter().take(6).map(|s| s.as_str()),
-        )
-        .with_prune_gate(gate);
-        for (qi, k, salt) in [(0usize, 5usize, 7u64), (9, 10, 42), (23, 1, u64::MAX)] {
-            for scoring in [ScoringMode::QuantizedScreen, ScoringMode::ExactF32] {
-                body(&base, gate, qi, k, salt, scoring);
-            }
-        }
-    }
-    check(256, 7, |rng| {
-        let qi = rng.random_range(0..40);
-        let (k, salt) = (rng.random_range(1..20), rng.next_u64());
-        let gate = (rng.random_f64() * 1.5) as f32;
-        let scoring = [ScoringMode::QuantizedScreen, ScoringMode::ExactF32][rng.random_range(0..2)];
-        let base = BaseIndex::for_question(&fix.source, &embedder, &cfg, &fix.questions[qi])
-            .with_prune_gate(gate);
-        body(&base, gate, qi, k, salt, scoring);
     });
 }

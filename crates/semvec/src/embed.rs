@@ -16,6 +16,15 @@ use std::sync::Arc;
 /// Dense embedding vector.
 pub type Vector = Vec<f32>;
 
+/// How a query text is encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryStyle {
+    /// Tokens are synonym-folded before hashing ([`Embedder::encode`]).
+    Folded,
+    /// Tokens are hashed raw ([`Embedder::encode_unfolded`]).
+    Unfolded,
+}
+
 /// Configuration of the encoder.
 #[derive(Debug, Clone)]
 pub struct EmbedConfig {
@@ -109,40 +118,41 @@ impl Embedder {
         &self.synonyms
     }
 
-    /// Fold one (normalised) token exactly the way [`encode`] does.
-    /// Candidate generation over an index built with this encoder must
-    /// use this fold — not a fixed builtin table — so token overlap
-    /// agrees with the encoder under custom or empty synonym configs.
-    ///
-    /// [`encode`]: Embedder::encode
-    pub fn fold_token<'a>(&'a self, tok: &'a str) -> &'a str {
-        self.synonyms.fold(tok)
-    }
-
     /// Encode a text into an L2-normalised vector. An all-zero vector is
     /// returned for texts with no features (e.g. only stopwords).
     pub fn encode(&self, text: &str) -> Vector {
-        self.encode_impl(text, true)
+        let mut v = vec![0.0f32; self.cfg.dim];
+        self.encode_impl(text, true, &mut v);
+        v
     }
 
-    fn encode_impl(&self, text: &str, fold: bool) -> Vector {
-        let mut v = vec![0.0f32; self.cfg.dim];
+    /// [`encode`](Embedder::encode) into a caller-owned row of length
+    /// [`dim`](Embedder::dim), which must be all zeros: the index build
+    /// encodes straight into its f32 column.
+    pub(crate) fn encode_into(&self, text: &str, out: &mut [f32]) {
+        self.encode_impl(text, true, out);
+    }
+
+    /// Accumulate `text`'s features into the zeroed row `v`, then
+    /// normalise it.
+    fn encode_impl(&self, text: &str, fold: bool, v: &mut [f32]) {
+        assert_eq!(v.len(), self.cfg.dim, "dimension mismatch");
+        debug_assert!(v.iter().all(|&x| x == 0.0), "encode into a zeroed row");
         let tokens = normalize(text);
         for tok in &tokens {
             let folded = if fold { self.synonyms.fold(tok) } else { tok };
             let idf_scale = self.idf.as_deref().map_or(1.0, |m| m.weight(folded) / 2.0);
-            self.add_feature(&mut v, folded, self.cfg.word_weight * idf_scale);
+            self.add_feature(v, folded, self.cfg.word_weight * idf_scale);
             if self.cfg.char_weight > 0.0 && folded.len() > 3 {
                 for gram in char_ngrams(folded, 3) {
-                    self.add_feature(&mut v, &gram, self.cfg.char_weight * idf_scale);
+                    self.add_feature(v, &gram, self.cfg.char_weight * idf_scale);
                 }
             }
         }
         if self.cfg.noise > 0.0 && !tokens.is_empty() {
-            self.add_noise(&mut v, text);
+            self.add_noise(v, text);
         }
-        l2_normalize(&mut v);
-        v
+        l2_normalize(v);
     }
 
     /// Deterministic per-text noise: a pseudo-random vector keyed on the
@@ -172,7 +182,9 @@ impl Embedder {
     /// Equivalent to encoding with an empty synonym table, without
     /// cloning the config or IDF handle into a throwaway encoder.
     pub fn encode_unfolded(&self, text: &str) -> Vector {
-        self.encode_impl(text, false)
+        let mut v = vec![0.0f32; self.cfg.dim];
+        self.encode_impl(text, false, &mut v);
+        v
     }
 
     /// Encode a batch of texts.
@@ -250,96 +262,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         sum += x * y;
     }
     sum
-}
-
-/// How many queries one register tile of [`dot_batch`] carries (four
-/// [`DOT_LANES`]-wide accumulator sets plus the shared row load fit the
-/// 256-bit register file).
-const DOT_QUERY_TILE: usize = 4;
-
-/// Bytes of document rows per cache tile of [`dot_batch`]; matches the
-/// int8 kernel's tile so both faces of a store stream the same way.
-const DOT_TILE_BYTES: usize = 16 * 1024;
-
-/// One document row against [`DOT_QUERY_TILE`] query rows, sharing the
-/// row's loads across four accumulator sets. Each query's accumulation
-/// replays [`dot`] exactly — same chunk order, same per-lane adds, same
-/// fixed pairwise reduction, same remainder tail — and f32 addition
-/// only depends on its own operand sequence, so each returned dot
-/// equals `dot(query, row)` bit for bit.
-#[inline(always)]
-fn dot_row_x4(qs: [&[f32]; DOT_QUERY_TILE], row: &[f32]) -> [f32; DOT_QUERY_TILE] {
-    let len = row.len();
-    let split = len - len % DOT_LANES;
-    let mut acc = [[0.0f32; DOT_LANES]; DOT_QUERY_TILE];
-    let mut i = 0;
-    while i < split {
-        let r = &row[i..i + DOT_LANES];
-        for (a, q) in acc.iter_mut().zip(&qs) {
-            let c = &q[i..i + DOT_LANES];
-            for j in 0..DOT_LANES {
-                a[j] += c[j] * r[j];
-            }
-        }
-        i += DOT_LANES;
-    }
-    let mut out = [0.0f32; DOT_QUERY_TILE];
-    for (o, (a, q)) in out.iter_mut().zip(acc.iter().zip(&qs)) {
-        let mut sum = ((a[0] + a[4]) + (a[1] + a[5])) + ((a[2] + a[6]) + (a[3] + a[7]));
-        for (x, y) in q[split..].iter().zip(&row[split..]) {
-            sum += x * y;
-        }
-        *o = sum;
-    }
-    out
-}
-
-/// Query-tiled batch dot: every query of the batch against every row of
-/// a flat f32 block (stride `dim`), each query's dots appended to its
-/// `out` vector in row order. Cache-tiled over document chunks and
-/// register-blocked [`DOT_QUERY_TILE`] queries at a time — the batched
-/// f32 counterpart of [`crate::quant::dot_i8_batch`], serving the exact
-/// scoring path. Bit-identical per pair to [`dot`]: the tiling only
-/// reorders *which* pair is computed when, never the float-operation
-/// sequence within a pair.
-pub fn dot_batch(queries: &[&[f32]], rows: &[f32], dim: usize, out: &mut [Vec<f32>]) {
-    assert_eq!(queries.len(), out.len(), "one output vec per query");
-    for q in queries {
-        assert_eq!(q.len(), dim, "dimension mismatch");
-    }
-    if dim == 0 || queries.is_empty() {
-        return;
-    }
-    debug_assert_eq!(rows.len() % dim, 0);
-    if queries.len() == 1 {
-        // A batch of one has nobody to share a cache tile with; one
-        // flat pass computes the identical per-pair dots without the
-        // tile bookkeeping.
-        let query = queries[0];
-        out[0].extend(rows.chunks_exact(dim).map(|row| dot(query, row)));
-        return;
-    }
-    let tile_elems = (DOT_TILE_BYTES / (dim * std::mem::size_of::<f32>())).max(1) * dim;
-    let mut start = 0;
-    while start < rows.len() {
-        let tile = &rows[start..rows.len().min(start + tile_elems)];
-        let mut q = 0;
-        while q + DOT_QUERY_TILE <= queries.len() {
-            let qs = [queries[q], queries[q + 1], queries[q + 2], queries[q + 3]];
-            for row in tile.chunks_exact(dim) {
-                let d = dot_row_x4(qs, row);
-                for t in 0..DOT_QUERY_TILE {
-                    out[q + t].push(d[t]);
-                }
-            }
-            q += DOT_QUERY_TILE;
-        }
-        for t in q..queries.len() {
-            let query = queries[t];
-            out[t].extend(tile.chunks_exact(dim).map(|row| dot(query, row)));
-        }
-        start += tile_elems;
-    }
 }
 
 #[cfg(test)]
@@ -441,35 +363,6 @@ mod tests {
             let a: Vec<f32> = (0..dim).map(|i| ((i % 11) as f32) - 5.0).collect();
             let b: Vec<f32> = (0..dim).map(|i| ((i % 5) as f32) - 2.0).collect();
             assert_eq!(dot(&a, &b), naive(&a, &b), "dim {dim}");
-        }
-    }
-
-    #[test]
-    fn batched_dot_matches_sequential_dot_bitwise() {
-        // Non-integer values on purpose: the batch must replay `dot`'s
-        // exact float-operation order, not merely approximate it. Block
-        // spans several cache tiles at dim 48 (85 rows/tile at 16 KiB).
-        let dim = 48usize;
-        let rows_n = 300usize;
-        let rows: Vec<f32> = (0..rows_n * dim).map(|i| (i as f32 * 0.37).sin()).collect();
-        let queries: Vec<Vec<f32>> = (0..7)
-            .map(|q| {
-                (0..dim)
-                    .map(|i| ((i + q * 31) as f32 * 0.53).cos())
-                    .collect()
-            })
-            .collect();
-        for width in [0usize, 1, 3, 4, 6, 7] {
-            let refs: Vec<&[f32]> = queries[..width].iter().map(|q| q.as_slice()).collect();
-            let mut out = vec![Vec::new(); width];
-            dot_batch(&refs, &rows, dim, &mut out);
-            for (q, o) in out.iter().enumerate() {
-                let seq: Vec<f32> = rows
-                    .chunks_exact(dim)
-                    .map(|r| dot(&queries[q], r))
-                    .collect();
-                assert_eq!(o, &seq, "width {width} query {q}");
-            }
         }
     }
 

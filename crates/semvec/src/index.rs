@@ -1,7 +1,7 @@
-//! Scan building blocks shared by every search path: scored hits, the
-//! bounded top-k selector, the per-(query, doc) retrieval jitter, and
-//! the naive reference oracle ([`reference_top_k`]) every scan of
-//! [`SegmentedIndex`] is checked against.
+//! Scan building blocks: scored hits, the bounded top-k selector, the
+//! per-(query, doc) retrieval jitter, and the naive reference oracle
+//! ([`reference_top_k`]) the scan of [`SegmentedIndex`] is checked
+//! against.
 
 use crate::embed::dot;
 use crate::seg::SegmentedIndex;
@@ -142,9 +142,8 @@ pub fn jitter(salt: u64, id: usize, sigma: f32) -> f32 {
     jitter_of(kgstore::hash::mix2(salt, id as u64), sigma)
 }
 
-/// [`jitter`] from the already mixed per-(salt, id) hash, so callers
-/// that pre-screen on the hash (the pruned search's suspect pass)
-/// reproduce the same bits without mixing twice.
+/// [`jitter`] from the already mixed per-(salt, id) hash: the expression
+/// [`jitter_max`] bounds.
 #[inline]
 pub(crate) fn jitter_of(hash: u64, sigma: f32) -> f32 {
     (kgstore::hash::unit_f64(hash) as f32 * 2.0 - 1.0) * sigma * 1.732
@@ -162,12 +161,12 @@ pub(crate) fn jitter_max(sigma: f32) -> f32 {
 }
 
 /// The naive reference oracle every identity test and perf gate
-/// compares a scan against: score every document with [`dot`] plus
+/// compares the scan against: score every document with [`dot`] plus
 /// its [`jitter`] (when `sigma > 0`), sort by (score desc, id asc),
 /// keep the first `k`. A full sort — no heap, no quantization, no
-/// candidate pruning, no segments — so it shares nothing with the
-/// engines it checks beyond the per-pair float expression they all
-/// promise to reproduce bit for bit.
+/// segments — so it shares nothing with the scan it checks beyond the
+/// per-pair float expression the scan promises to reproduce bit for
+/// bit.
 pub fn reference_top_k(
     index: &SegmentedIndex,
     query: &[f32],

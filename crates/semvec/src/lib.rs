@@ -12,12 +12,11 @@
 //! * [`embed`] — the encoder (ℝ^256, signed feature hashing, L2-norm);
 //! * [`index`] — hits, bounded top-k selection, the retrieval jitter,
 //!   and the naive reference oracle [`reference_top_k`];
-//! * [`quant`] — int8 scalar quantization, the integer dot kernels,
-//!   and the per-pair error bound behind the two-stage scoring engine;
-//! * [`seg`] — the engine: fixed-size segments with f32 rows, per-segment
-//!   int8 shadows and token postings; full and pruned, f32 and
-//!   quantized, sequential and batched scans, all bit-identical to
-//!   [`reference_top_k`];
+//! * [`quant`] — int8 scalar quantization, the batched integer dot
+//!   kernel, and the per-pair error bound behind the two-stage scan;
+//! * [`seg`] — the engine: f32 rows in fixed-size segments with
+//!   per-segment int8 shadows, and its one scan — a batched int8 screen
+//!   with an exact f32 rerank — bit-identical to [`reference_top_k`];
 //! * [`verbalize`] — schema term humanisation for prompts and encoding.
 
 #![warn(missing_docs)]
@@ -31,13 +30,13 @@ pub mod synonym;
 pub mod token;
 pub mod verbalize;
 
-pub use embed::{cosine, dot, dot_batch, l2_normalize, EmbedConfig, Embedder, Vector};
+pub use embed::{cosine, dot, l2_normalize, EmbedConfig, Embedder, QueryStyle, Vector};
 pub use idf::IdfModel;
 pub use index::{jitter, reference_top_k, Hit, NoisyQuery, TopK};
-pub use quant::{dot_i8, dot_i8_batch, pair_error_bound, quantize_block, QuantQuery, ScreenStats};
+pub use quant::{dot_i8_batch, pair_error_bound, quantize_block, QuantQuery, ScreenStats};
 pub use seg::{
-    build_chunk_ranges, encode_doc, resolve_build_threads, BatchSlot, QueryStyle, SegmentedIndex,
-    DEFAULT_CEILING, PARALLEL_BUILD_MIN_DOCS, SEG_ROWS_DEFAULT,
+    build_chunk_ranges, resolve_build_threads, SegmentedIndex, PARALLEL_BUILD_MIN_DOCS,
+    SEG_ROWS_DEFAULT,
 };
 pub use synonym::SynonymTable;
 pub use verbalize::{display_triple, humanize_term, verbalize_triple};

@@ -5,11 +5,10 @@
 //! next to its flat f32 rows, a flat `Vec<i8>` holding the same rows
 //! symmetrically quantized against the segment's own scale
 //! ([`quantize_block`]), so the screening pass reads one byte per
-//! component. The full scans screen through [`dot_i8_batch`], whose
-//! AVX2 register tile sign-extends each row chunk to i16 once and
+//! component. The scan screens through [`dot_i8_batch`], whose AVX2
+//! register tile sign-extends each row chunk to i16 once and
 //! multiply-adds it into one to four queries at a time, so a pair costs
-//! about the same at every batch width; the pruned route screens its
-//! candidates one pair at a time through [`dot_i8`].
+//! about the same at every batch width.
 //!
 //! **Exactness contract.** Quantization is lossy, so a quantized score
 //! alone may not rank documents the way the exact f32 scan does. The
@@ -19,8 +18,8 @@
 //! the exact f32 path every document whose quantized score lands within
 //! a provable per-pair error bound of the quantized k-th score. The
 //! bound ([`pair_error_bound`], derivation below) guarantees the final
-//! top-k — ids, scores, and tie-break order — is bit-identical to the
-//! exact scan.
+//! top-k — ids, scores, and tie-break order — is bit-identical to
+//! scoring every document in exact f32.
 //!
 //! **Error-bound derivation.** Write a vector `x` and its dequantized
 //! form `x̂ = s·q` (scale `s`, int8 row `q`). Rounding gives a
@@ -48,9 +47,10 @@
 /// ~10⁶ dimensions — far beyond any embedding here.
 const I8_LANES: usize = 16;
 
-/// The kernel body, shared by the dispatched variants below: identical
-/// integer arithmetic, so every variant returns the same value to the
-/// bit — dispatch only changes codegen.
+/// The integer dot of one query row and one document row: the
+/// per-pair body of the non-AVX2 batched screen. Any i8·i8 product fits
+/// i16, and the lane sums are exact integers, so it equals the naive
+/// i32 loop to the bit.
 #[inline]
 fn dot_i8_body(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
@@ -71,38 +71,6 @@ fn dot_i8_body(a: &[i8], b: &[i8]) -> i32 {
     sum
 }
 
-/// AVX2 instantiation of the kernel body. The baseline x86-64 target
-/// (SSE2) cannot vectorize the widening i8 multiply profitably, so
-/// without this the integer screen barely beats the f32 scan; with it
-/// the body compiles to 256-bit widening multiply-adds (~2.5× the f32
-/// kernel at dim 256, measured in the perf bench).
-///
-/// # Safety
-/// Caller must have verified AVX2 support at runtime
-/// (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_body(a, b)
-}
-
-/// Chunked integer dot product over int8 rows, accumulated in i32:
-/// the pruned route's per-candidate screen. Runtime-dispatched to
-/// an AVX2 build of the same arithmetic where the CPU supports it
-/// (the detection result is cached by the stdlib, so the check is one
-/// atomic load per call).
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 feature was just verified at runtime.
-            return unsafe { dot_i8_avx2(a, b) };
-        }
-    }
-    dot_i8_body(a, b)
-}
-
 /// Bytes of document rows per cache tile of the batched kernels. A tile
 /// this size stays L1-resident while every query of the batch passes
 /// over it, so the single-query pattern of re-streaming the whole block
@@ -120,8 +88,8 @@ fn rows_per_tile(row_bytes: usize) -> usize {
 /// `out` vector in row order. Cache-tiled over document chunks — each
 /// chunk is walked by every query of the batch while it is still
 /// cache-resident — with each (query, row) pair running [`dot_i8_body`]
-/// itself, so each `out[q]` is exactly what [`dot_i8`] returns for that
-/// query against each row.
+/// itself, so each `out[q]` holds that query's exact integer dot with
+/// each row.
 fn dot_i8_batch_body(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mut [Vec<i32>]) {
     debug_assert_eq!(queries.len(), out.len());
     if dim == 0 || queries.is_empty() {
@@ -269,10 +237,12 @@ unsafe fn dot_i8_batch_avx2(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mu
 /// Query-tiled batch screen: every query of the batch against every row
 /// of a flat i8 block, each query's raw dots appended to its `out`
 /// vector in row order. Runtime-dispatched to the explicit AVX2 kernel
-/// like [`dot_i8`] — at every batch width, one included; bit-identical
-/// per query to scanning with [`dot_i8`] row by row (integer arithmetic
-/// is exact in any order — the tiling only reorders which pair is
-/// computed when, and pmaddwd only re-associates the additions).
+/// where the CPU supports it — at every batch width, one included (the
+/// detection result is cached by the stdlib, so the check is one atomic
+/// load per call); bit-identical per pair to the naive i32 dot
+/// (integer arithmetic is exact in any order — the tiling only
+/// reorders which pair is computed when, and pmaddwd only
+/// re-associates the additions).
 pub fn dot_i8_batch(queries: &[&[i8]], rows: &[i8], dim: usize, out: &mut [Vec<i32>]) {
     assert_eq!(queries.len(), out.len(), "one output vec per query");
     for q in queries {
@@ -427,28 +397,16 @@ mod tests {
     }
 
     #[test]
-    fn dot_i8_matches_naive_loop() {
-        // Lengths straddling the lane width, values across the range.
-        for len in [0usize, 1, 7, 8, 9, 16, 63, 256] {
-            let a: Vec<i8> = (0..len).map(|i| ((i * 37) % 255) as i8).collect();
-            let b: Vec<i8> = (0..len).map(|i| ((i * 91 + 13) % 255) as i8).collect();
-            let naive = naive_dot(&a, &b);
-            assert_eq!(dot_i8(&a, &b), naive, "len {len}");
-        }
-    }
-
-    #[test]
     fn dot_i8_remainder_lanes_match_naive_loop() {
         // Dimensions that are not multiples of the 16-lane width pin
-        // the tail handling: 1 (all tail), 7 (sub-lane), 17 (one full
-        // chunk plus one element).
-        for dim in [1usize, 7, 17] {
+        // the tail handling: 1 (all tail), 7 (sub-lane), 9, 17 (one full
+        // chunk plus one element) and 63; 8, 16 and 256 are whole
+        // chunks. The batched kernel must agree with the naive loop at
+        // each of them in every register-tile width.
+        for dim in [1usize, 7, 8, 9, 16, 17, 63, 256] {
             let a: Vec<i8> = (0..dim).map(|i| (i as i32 * 23 - 60) as i8).collect();
             let b: Vec<i8> = (0..dim).map(|i| (i as i32 * 17 - 40) as i8).collect();
             let naive = naive_dot(&a, &b);
-            assert_eq!(dot_i8(&a, &b), naive, "dim {dim}");
-            // The batched kernel must agree at the same dimensions in
-            // every register-tile width.
             for width in 1usize..=4 {
                 let queries: Vec<&[i8]> = std::iter::repeat_n(a.as_slice(), width).collect();
                 let mut out = vec![Vec::new(); width];
@@ -512,7 +470,9 @@ mod tests {
     fn dot_i8_extremes_do_not_overflow() {
         let a = vec![127i8; 4096];
         let b = vec![-127i8; 4096];
-        assert_eq!(dot_i8(&a, &b), -127 * 127 * 4096);
+        let mut out = vec![Vec::new()];
+        dot_i8_batch(&[&a], &b, 4096, &mut out);
+        assert_eq!(out, [[-127 * 127 * 4096]]);
     }
 
     /// Row-major `rows × dim` test block, element `i` = `f(i)`.
@@ -539,7 +499,9 @@ mod tests {
         assert_eq!(max_norm, 0.0);
         assert!(q.iter().all(|&x| x == 0));
         let qq = QuantQuery::new(&[0.0; 3]);
-        assert_eq!(dot_i8(qq.row(), &q[3..6]), 0);
+        let mut out = vec![Vec::new()];
+        dot_i8_batch(&[qq.row()], &q, 3, &mut out);
+        assert_eq!(out, [[0, 0]]);
         let bound = pair_error_bound(
             qq.scale() as f64,
             qq.norm() as f64,
@@ -573,7 +535,7 @@ mod tests {
             for (id, row) in data.chunks_exact(dim).enumerate() {
                 let exact = crate::embed::dot(query, row) as f64;
                 let qrow = &q[id * dim..(id + 1) * dim];
-                let approx = (dot_i8(qq.row(), qrow) as f32 * factor) as f64;
+                let approx = (naive_dot(qq.row(), qrow) as f32 * factor) as f64;
                 assert!(
                     (exact - approx).abs() <= bound,
                     "pair ({probe}, {id}): |{exact} - {approx}| > {bound}"

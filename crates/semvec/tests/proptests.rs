@@ -1,7 +1,8 @@
 //! Property-based tests of the encoder and the segmented index: norm
-//! and cosine invariants, determinism, and every scan — full and
-//! pruned, f32 and quantized, sequential and batched, any shard count —
-//! bit-identical to the naive oracle [`reference_top_k`].
+//! and cosine invariants, determinism, byte-identical parallel builds,
+//! and the scan — one slot or batched, any shard count — bit-identical
+//! to the naive oracle [`reference_top_k`], with its rerank counter
+//! equal to its definition.
 //!
 //! Each property runs [`check`] over generated inputs; where a fixed
 //! grid of corner cases (wide dimensions, large corpora, every batch
@@ -9,8 +10,8 @@
 
 use kgstore::rng::{check, StdRng};
 use semvec::{
-    cosine, dot, dot_i8, jitter, pair_error_bound, quantize_block, reference_top_k, BatchSlot,
-    Embedder, Hit, NoisyQuery, QuantQuery, QueryStyle, SegmentedIndex,
+    cosine, dot, jitter, pair_error_bound, quantize_block, reference_top_k, Embedder, Hit,
+    NoisyQuery, QuantQuery, ScreenStats, SegmentedIndex,
 };
 
 /// Character soup: letters and spaces.
@@ -19,9 +20,8 @@ fn text(rng: &mut StdRng) -> String {
 }
 
 /// Sentences over a closed vocabulary of trigram-disjoint words — the
-/// shape of real verbalised triples, where the zero-overlap ceiling
-/// contract holds. (Arbitrary character soup can violate the ceiling:
-/// two distinct tokens may share most of their char trigrams.)
+/// shape of real verbalised triples, where documents either share whole
+/// words with a query or sit at the encoder's noise floor.
 fn vocab_sentence(rng: &mut StdRng) -> String {
     rng.vec(1..6, |r| VOCAB[r.random_range(0..VOCAB.len())])
         .join(" ")
@@ -51,31 +51,51 @@ fn build(emb: &Embedder, docs: &[String], seg_rows: usize) -> SegmentedIndex {
 /// The (k, sigma, salt) points the shard grid scans at.
 const SCANS: [(usize, f32, u64); 3] = [(1, 0.0, 0), (5, 0.30, 7), (12, 0.55, 0xC0FFEE)];
 
-/// Full and pruned scans of `index`, in both scoring engines, all
-/// return `oracle`.
+/// One query through the scan, as a one-slot batch.
+fn scan_one(
+    index: &SegmentedIndex,
+    q: &[f32],
+    k: usize,
+    sigma: f32,
+    salt: u64,
+) -> (Vec<Hit>, ScreenStats) {
+    let slot = NoisyQuery { vector: q, salt };
+    index
+        .top_k_noisy_quant_batch(&[slot], k, sigma)
+        .pop()
+        .expect("one slot in, one result out")
+}
+
+/// The scan of `index` returns `oracle` for `q`, both as a one-slot
+/// call and in the middle of a three-slot batch whose other slots
+/// query the same vector under other salts.
 fn every_scan_returns(
     index: &SegmentedIndex,
     q: &[f32],
-    cands: &[u32],
     (k, sigma, salt): (usize, f32, u64),
     oracle: &[Hit],
     at: &str,
 ) {
-    let scans = [
-        ("full", index.top_k_noisy(q, k, sigma, salt)),
-        ("full quant", index.top_k_noisy_quant(q, k, sigma, salt).0),
-        (
-            "pruned",
-            index.top_k_noisy_encoded(q, cands, k, sigma, salt),
-        ),
-        (
-            "pruned quant",
-            index.top_k_noisy_encoded_quant(q, cands, k, sigma, salt).0,
-        ),
+    let (one, _) = scan_one(index, q, k, sigma, salt);
+    assert_eq!(one, oracle, "one-slot scan, {at} k {k} sigma {sigma}");
+    let slots = [
+        NoisyQuery {
+            vector: q,
+            salt: salt ^ 1,
+        },
+        NoisyQuery { vector: q, salt },
+        NoisyQuery {
+            vector: q,
+            salt: salt.wrapping_add(2),
+        },
     ];
-    for (scan, hits) in scans {
-        assert_eq!(hits, oracle, "{scan} scan, {at} k {k} sigma {sigma}");
-    }
+    let batch = index.top_k_noisy_quant_batch(&slots, k, sigma);
+    assert_eq!(batch[1].0, oracle, "batched scan, {at} k {k} sigma {sigma}");
+}
+
+/// Naive i32 dot of two int8 rows.
+fn naive_dot_i8(a: &[i8], b: &[i8]) -> i32 {
+    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
 }
 
 /// Every encoding is unit-norm or exactly zero.
@@ -122,7 +142,7 @@ fn encode_is_deterministic() {
 }
 
 /// The oracle itself agrees with a brute-force sort of the raw
-/// encodings' dot products, and the clean full scan agrees with the
+/// encodings' dot products, and the clean scan agrees with the
 /// oracle. The first input is a failure an earlier run recorded.
 #[test]
 fn oracle_and_full_scan_agree_with_brute_force() {
@@ -131,7 +151,7 @@ fn oracle_and_full_scan_agree_with_brute_force() {
         let index = build(&emb, docs, docs.len());
         let q = emb.encode(query);
         let oracle = reference_top_k(&index, &q, k, 0.0, 0);
-        assert_eq!(index.top_k_noisy(&q, k, 0.0, 0), oracle);
+        assert_eq!(scan_one(&index, &q, k, 0.0, 0).0, oracle);
 
         let mut brute: Vec<(usize, f32)> = docs
             .iter()
@@ -166,8 +186,8 @@ fn jittered_topk_deterministic() {
         let emb = Embedder::default();
         let index = build(&emb, &docs, docs.len());
         let q = emb.encode(&query);
-        let a = index.top_k_noisy(&q, 5, 0.3, salt);
-        assert_eq!(a, index.top_k_noisy(&q, 5, 0.3, salt));
+        let (a, _) = scan_one(&index, &q, 5, 0.3, salt);
+        assert_eq!(a, scan_one(&index, &q, 5, 0.3, salt).0);
         assert_eq!(a.len(), 5usize.min(docs.len()));
         for w in a.windows(2) {
             assert!(w[0].score >= w[1].score);
@@ -175,13 +195,12 @@ fn jittered_topk_deterministic() {
     });
 }
 
-/// Pruned search (like the full scan, in both scoring engines) is
-/// bit-identical to the oracle on ceiling-respecting corpora (closed vocabulary, so
-/// zero-overlap docs sit at the encoder noise floor) for arbitrary
-/// k, sigma and salt — including k beyond the candidate count (the
-/// documented full-scan fallback) and k beyond the corpus size.
+/// The scan is bit-identical to the oracle on closed-vocabulary
+/// corpora at about three segments, under the noise-free and the paper
+/// encoder, for arbitrary k (beyond the corpus size included), sigma
+/// and salt.
 #[test]
-fn pruned_equals_oracle_on_vocab_corpora() {
+fn scan_equals_oracle_on_vocab_corpora() {
     check(256, 6, |rng| {
         let docs = rng.vec(1..40, vocab_sentence);
         let query = vocab_sentence(rng);
@@ -189,54 +208,13 @@ fn pruned_equals_oracle_on_vocab_corpora() {
         for emb in [Embedder::default(), Embedder::paper()] {
             let index = build(&emb, &docs, docs.len().div_ceil(3));
             let q = emb.encode(&query);
-            let cands = index.candidates(&emb, &query, QueryStyle::Folded);
             let oracle = reference_top_k(&index, &q, k, sigma, salt);
-            every_scan_returns(&index, &q, &cands, (k, sigma, salt), &oracle, "vocab");
+            every_scan_returns(&index, &q, (k, sigma, salt), &oracle, "vocab");
         }
     });
 }
 
-/// With the ceiling raised to the maximum possible dot (1.0 for
-/// unit-norm vectors), the pruned search equals the oracle
-/// *unconditionally* — even on adversarial character soup where
-/// distinct tokens share trigram mass. This pins down the
-/// correctness of the two-phase machinery itself (candidate rerank,
-/// suspect verification, fallback, heap ordering).
-#[test]
-fn pruned_with_saturated_ceiling_equals_oracle_on_any_corpus() {
-    check(256, 7, |rng| {
-        let docs = rng.vec(1..30, text);
-        let query = text(rng);
-        let (k, sigma, salt) = (rng.random_range(1..12), sigma(rng), rng.next_u64());
-        let emb = Embedder::paper();
-        let index = build(&emb, &docs, docs.len().div_ceil(2)).with_ceiling(1.0);
-        let q = emb.encode(&query);
-        let cands = index.candidates(&emb, &query, QueryStyle::Folded);
-        let oracle = reference_top_k(&index, &q, k, sigma, salt);
-        every_scan_returns(&index, &q, &cands, (k, sigma, salt), &oracle, "soup");
-    });
-}
-
-/// Unfolded (raw-token) queries: candidates looked up by raw token
-/// hash, hits still equal to the oracle.
-#[test]
-fn pruned_unfolded_queries_equal_oracle() {
-    check(256, 8, |rng| {
-        let docs = rng.vec(1..30, vocab_sentence);
-        let query = vocab_sentence(rng);
-        let (k, salt) = (rng.random_range(1..12), rng.next_u64());
-        let emb = Embedder::paper();
-        let index = build(&emb, &docs, docs.len());
-        let q = emb.encode_unfolded(&query);
-        let cands = index.candidates(&emb, &query, QueryStyle::Unfolded);
-        assert_eq!(
-            index.top_k_noisy_encoded(&q, &cands, k, 0.3, salt),
-            reference_top_k(&index, &q, k, 0.3, salt)
-        );
-    });
-}
-
-/// The quantized screen + exact rerank full scan is bit-identical to
+/// The quantized screen + exact rerank scan is bit-identical to
 /// the oracle on arbitrary corpora, at the pipeline's default jitter
 /// (sigma = 0.30) and with noise off (sigma = 0). The grid runs larger
 /// corpora first, each at two salts.
@@ -247,7 +225,7 @@ fn quant_screen_rerank_topk_equals_oracle() {
         let index = build(&emb, docs, docs.len());
         let q = emb.encode(query);
         for sigma in [0.0f32, 0.30] {
-            let (quant, stats) = index.top_k_noisy_quant(&q, k, sigma, salt);
+            let (quant, stats) = scan_one(&index, &q, k, sigma, salt);
             assert_eq!(
                 quant,
                 reference_top_k(&index, &q, k, sigma, salt),
@@ -289,7 +267,7 @@ fn quant_error_bound_never_violated() {
             let row = &flat[id * dim..(id + 1) * dim];
             let exact = dot(query, row) as f64;
             let approx =
-                (dot_i8(qq.row(), &shadow[id * dim..(id + 1) * dim]) as f32 * factor) as f64;
+                (naive_dot_i8(qq.row(), &shadow[id * dim..(id + 1) * dim]) as f32 * factor) as f64;
             assert!(
                 (exact - approx).abs() <= bound,
                 "bound violated at dim {dim} row {id}: |{exact} - {approx}| > {bound}"
@@ -338,7 +316,8 @@ fn segment_shadows(index: &SegmentedIndex, q: &QuantQuery) -> Vec<(f64, f32, Vec
 
 /// How many documents the two-stage scan must rerank, counted from the
 /// definition with public building blocks only: every document screened
-/// with `dot_i8` against its re-quantized segment plus its jitter, `θ̂`
+/// with a naive i32 dot against its re-quantized segment plus its
+/// jitter, `θ̂`
 /// the k-th best screened score (−∞ when k > n), and the count of
 /// documents screening at or above `θ̂ − 2·B_max`.
 fn reranked_by_definition(
@@ -356,7 +335,7 @@ fn reranked_by_definition(
     for (s, (_, scale, shadow)) in shadows.iter().enumerate() {
         let factor = qq.scale() * scale;
         for (r, row) in shadow.chunks_exact(dim).enumerate() {
-            let mut score = dot_i8(qq.row(), row) as f32 * factor;
+            let mut score = naive_dot_i8(qq.row(), row) as f32 * factor;
             if sigma > 0.0 {
                 score += jitter(salt, s * index.seg_rows() + r, sigma);
             }
@@ -372,9 +351,8 @@ fn reranked_by_definition(
     screened.iter().filter(|&&s| s as f64 >= margin).count() as u64
 }
 
-/// Batched full scans over `index` equal the oracle per slot, in both
-/// scoring engines, with quantized counters equal to their definition
-/// ([`reranked_by_definition`]).
+/// Batched scans over `index` equal the oracle per slot, with counters
+/// equal to their definition ([`reranked_by_definition`]).
 fn batched_full_equals_oracle(
     emb: &Embedder,
     index: &SegmentedIndex,
@@ -389,13 +367,11 @@ fn batched_full_equals_oracle(
         .zip(salts)
         .map(|(v, &salt)| NoisyQuery { vector: v, salt })
         .collect();
-    let exact = index.top_k_noisy_batch(&slots, k, sigma);
     let quant = index.top_k_noisy_quant_batch(&slots, k, sigma);
-    assert_eq!(exact.len(), slots.len());
+    assert_eq!(quant.len(), slots.len());
     let at = format!("width {} k {k} sigma {sigma}", slots.len());
-    for ((got, (qhits, qstats)), s) in exact.iter().zip(&quant).zip(&slots) {
+    for ((qhits, qstats), s) in quant.iter().zip(&slots) {
         let oracle = reference_top_k(index, s.vector, k, sigma, s.salt);
-        assert_eq!(got, &oracle, "full {at}");
         assert_eq!(qhits, &oracle, "full quant {at}");
         assert_eq!(
             qstats.screened,
@@ -407,47 +383,7 @@ fn batched_full_equals_oracle(
     }
 }
 
-/// Batched pruned scans over `index` equal the oracle per slot —
-/// including the full-scan fallback for under-populated candidate sets
-/// — in both scoring engines, with quantized counters equal to the
-/// sequential scan's.
-fn batched_pruned_equals_oracle(
-    emb: &Embedder,
-    index: &SegmentedIndex,
-    texts: &[&str],
-    salts: &[u64],
-    k: usize,
-    sigma: f32,
-) {
-    let qvecs: Vec<Vec<f32>> = texts.iter().map(|t| emb.encode(t)).collect();
-    let cands: Vec<Vec<u32>> = texts
-        .iter()
-        .map(|t| index.candidates(emb, t, QueryStyle::Folded))
-        .collect();
-    let slots: Vec<BatchSlot<'_>> = qvecs
-        .iter()
-        .zip(&cands)
-        .zip(salts)
-        .map(|((v, c), &salt)| BatchSlot {
-            query: v,
-            cands: c,
-            salt,
-        })
-        .collect();
-    let exact = index.top_k_noisy_encoded_batch(&slots, k, sigma);
-    let (quant, stats) = index.top_k_noisy_encoded_quant_batch(&slots, k, sigma);
-    assert_eq!(exact.len(), slots.len());
-    let at = format!("width {} k {k} sigma {sigma}", slots.len());
-    for (i, s) in slots.iter().enumerate() {
-        let oracle = reference_top_k(index, s.query, k, sigma, s.salt);
-        assert_eq!(exact[i], oracle, "pruned {at}");
-        assert_eq!(quant[i], oracle, "pruned quant {at}");
-        let (_, seq) = index.top_k_noisy_encoded_quant(s.query, s.cands, k, sigma, s.salt);
-        assert_eq!(stats[i], seq, "pruned quant counters {at}");
-    }
-}
-
-/// The grid both batched properties run first: a 60-sentence corpus
+/// The grid the batched property runs first: a 60-sentence corpus
 /// at one and at four segments, batch widths 0 to 9 — every
 /// register-tile remainder after zero, one and two full tiles — (the
 /// last slot of each width ≥ 2 duplicating the first, with the same
@@ -476,10 +412,9 @@ fn batched_grid(body: fn(&Embedder, &SegmentedIndex, &[&str], &[u64], usize, f32
     }
 }
 
-/// Batched full scans equal the oracle per query for arbitrary batch
-/// widths (0, 1, and through every register-tile remainder),
-/// duplicate queries, and both scoring engines; quantized counters
-/// equal the sequential scan's.
+/// Batched scans equal the oracle per query for arbitrary batch
+/// widths (0, 1, and through every register-tile remainder) and
+/// duplicate queries; counters equal their definition.
 #[test]
 fn batched_topk_equals_oracle_per_query() {
     batched_grid(batched_full_equals_oracle);
@@ -501,28 +436,8 @@ fn batched_topk_equals_oracle_per_query() {
     });
 }
 
-/// Batched pruned search equals the oracle per slot — including the
-/// full-scan fallback for under-populated candidate sets and both
-/// scoring engines; quantized counters equal the sequential scan's.
-#[test]
-fn batched_pruned_equals_oracle_per_slot() {
-    batched_grid(batched_pruned_equals_oracle);
-    check(256, 12, |rng| {
-        let docs = rng.vec(1..40, vocab_sentence);
-        let queries = rng.vec(0..7, vocab_sentence);
-        let (k, sigma) = (rng.random_range(1..20), sigma(rng));
-        let emb = Embedder::paper();
-        let index = build(&emb, &docs, docs.len().div_ceil(3));
-        let texts: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
-        let salts: Vec<u64> = (0..texts.len() as u64)
-            .map(|i| i.wrapping_mul(0x9E37))
-            .collect();
-        batched_pruned_equals_oracle(&emb, &index, &texts, &salts, k, sigma);
-    });
-}
-
 /// The quantized scan reranks exactly the documents its definition
-/// names ([`reranked_by_definition`]): sequential and batched, at sigma
+/// names ([`reranked_by_definition`]): one slot and batched, at sigma
 /// 0 and 0.30, for k below, at and above the corpus size, on
 /// multi-segment indexes. The grid runs first on an index whose last
 /// segment has the largest error bound, so a margin built from the
@@ -536,8 +451,8 @@ fn quant_rerank_count_matches_its_definition() {
             index.len(),
             index.seg_rows()
         );
-        let (_, seq) = index.top_k_noisy_quant(query, k, sigma, salt);
-        assert_eq!(seq.reranked, want, "sequential {at}");
+        let (_, one) = scan_one(index, query, k, sigma, salt);
+        assert_eq!(one.reranked, want, "one slot {at}");
         let slot = NoisyQuery {
             vector: query,
             salt,
@@ -596,9 +511,9 @@ fn shard_grid_docs() -> Vec<String> {
     (0..50).map(|_| vocab_sentence(rng)).collect()
 }
 
-/// Shard-count invariance: full and pruned scans (both engines) at 1,
-/// 2 and 7 shards, at 4-row segments and at one more segment size equal
-/// the oracle over the single-segment build for every (k, sigma, salt),
+/// Shard-count invariance: the scan (one slot and batched) at 1, 2 and
+/// 7 shards, at 4-row segments and at one more segment size equals the
+/// oracle over the single-segment build for every (k, sigma, salt),
 /// on corpora of any size, empty and duplicated ones included. The
 /// grid's extra size is 3 rows; generated cases draw it from 1..50,
 /// past the corpus size.
@@ -612,9 +527,8 @@ fn sharded_topk_is_invariant_in_shard_count() {
         let oracle = reference_top_k(&build(&emb, docs, n), &q, k, sigma, salt);
         for seg_rows in [n, n.div_ceil(2), n.div_ceil(7), 4, extra_rows] {
             let seg = build(&emb, docs, seg_rows);
-            let cands = seg.candidates(&emb, query, QueryStyle::Folded);
             let at = format!("n {n} seg_rows {seg_rows}");
-            every_scan_returns(&seg, &q, &cands, point, &oracle, &at);
+            every_scan_returns(&seg, &q, point, &oracle, &at);
         }
     };
     let docs = shard_grid_docs();
@@ -633,26 +547,45 @@ fn sharded_topk_is_invariant_in_shard_count() {
 }
 
 /// Parallel index builds are byte-identical to the serial build for
-/// any corpus (including duplicates) and any thread count.
+/// any corpus (duplicates included), any thread count and any segment
+/// size, and every row is bit for bit its text's encoding — duplicates
+/// whose first occurrence sits in an earlier segment or an earlier
+/// worker's chunk included.
 #[test]
 fn segmented_parallel_build_equals_serial() {
     check(256, 16, |rng| {
         let docs = rng.vec(1..40, text);
         let threads = rng.random_range(2..8);
-        let query = text(rng);
         let emb = Embedder::paper();
-        // Force duplicates so the dedup path is exercised.
+        // Force duplicates so the row copy is exercised.
         let doubled: Vec<&str> = docs.iter().chain(docs.iter()).map(|s| s.as_str()).collect();
-        let seg_rows = docs.len().max(1);
+        let seg_rows = rng.random_range(1..doubled.len() + 1);
         let serial = SegmentedIndex::build_parallel(&emb, &doubled, seg_rows, 1);
         let parallel = SegmentedIndex::build_parallel(&emb, &doubled, seg_rows, threads);
         assert_eq!(serial.len(), parallel.len());
-        for id in 0..serial.len() {
-            assert_eq!(serial.vector(id), parallel.vector(id));
+        assert_eq!(serial.num_segments(), parallel.num_segments());
+        for (id, text) in doubled.iter().enumerate() {
+            let want = emb.encode(text);
+            for (build, index) in [("serial", &serial), ("parallel", &parallel)] {
+                let got = index.vector(id);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{build} row {id} of {} (seg_rows {seg_rows}) is not encode({text:?})",
+                    doubled.len()
+                );
+            }
         }
-        assert_eq!(
-            serial.candidates(&emb, &query, QueryStyle::Folded),
-            parallel.candidates(&emb, &query, QueryStyle::Folded)
-        );
+        for s in 0..serial.num_segments() {
+            assert_eq!(
+                serial.segment_scale(s).to_bits(),
+                parallel.segment_scale(s).to_bits()
+            );
+            assert_eq!(
+                serial.segment_max_norm(s).to_bits(),
+                parallel.segment_max_norm(s).to_bits()
+            );
+        }
     });
 }
