@@ -84,7 +84,7 @@ grep -q "runner threads 1/8 identical" /tmp/chaos_smoke.out || {
     exit 1
 }
 
-echo "==> perf smoke (the scan, at every batch width and shard count, bit-identical to the naive oracle)"
+echo "==> perf smoke (the scan, at every batch width, bit-identical to the naive oracle)"
 cargo run -q --offline --locked --release -p bench --bin perf -- --smoke | tee /tmp/perf_smoke.out
 grep -q "batched kernel bit-identical" /tmp/perf_smoke.out || {
     echo "ci.sh: perf smoke lost the batched-identity assertion" >&2
@@ -96,10 +96,6 @@ grep -q "stage breakdown" /tmp/perf_smoke.out || {
 }
 grep -q "runner thread-identity ok" /tmp/perf_smoke.out || {
     echo "ci.sh: perf smoke lost the 1/2/4/8 thread-identity gate" >&2
-    exit 1
-}
-grep -q "perf smoke sharded base ok" /tmp/perf_smoke.out || {
-    echo "ci.sh: perf smoke lost the sharded-base identity assertion (1/2/7 shards vs the naive oracle)" >&2
     exit 1
 }
 grep -q "perf smoke scaling ok" /tmp/perf_smoke.out || {
@@ -124,7 +120,7 @@ grep -q '"worker_count_identity": true' BENCH_soak.json || {
     exit 1
 }
 
-echo "==> BENCH_perf.json carries batched, stages, threads_sweep, sharded, and scaling sections"
+echo "==> BENCH_perf.json carries batched, stages, threads_sweep, and scaling sections"
 grep -q '"batched"' BENCH_perf.json || {
     echo "ci.sh: BENCH_perf.json lacks the \"batched\" section — regenerate with: cargo run --release -p bench --bin perf" >&2
     exit 1
@@ -135,10 +131,6 @@ grep -q '"stages"' BENCH_perf.json || {
 }
 grep -q '"threads_sweep"' BENCH_perf.json || {
     echo "ci.sh: BENCH_perf.json lacks the \"threads_sweep\" section — regenerate with: cargo run --release -p bench --bin perf" >&2
-    exit 1
-}
-grep -q '"sharded"' BENCH_perf.json || {
-    echo "ci.sh: BENCH_perf.json lacks the \"sharded\" section — regenerate with: cargo run --release -p bench --bin perf" >&2
     exit 1
 }
 grep -q '"scaling"' BENCH_perf.json || {

@@ -54,12 +54,6 @@ pub struct PipelineConfig {
     /// the QA benchmark passes it to
     /// [`crate::retrieval::BaseIndex::search_batch`].
     pub scoring_mode: ScoringMode,
-    /// Worker threads for the question-level runner pool. `0` (the
-    /// default) resolves to the machine's available parallelism.
-    /// Callers that pass an explicit thread count to
-    /// [`crate::runner::run`] override this. Results are byte-identical
-    /// at every value — the pool only changes wall-clock time.
-    pub runner_threads: usize,
 }
 
 impl Default for PipelineConfig {
@@ -77,7 +71,6 @@ impl Default for PipelineConfig {
             resilience: ResilienceConfig::default(),
             retrieval_mode: RetrievalMode::default(),
             scoring_mode: ScoringMode::default(),
-            runner_threads: 0,
         }
     }
 }

@@ -313,11 +313,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Run `method` over `dataset` with `threads` workers. `0` defers to
-/// [`PipelineConfig::runner_threads`], whose own `0` default resolves
-/// to the machine's available parallelism — an explicit argument
-/// always wins. Outcomes are byte-identical at every thread count
-/// (see the module docs).
+/// Run `method` over `dataset` with `threads` workers (`0` = the
+/// machine's available parallelism). Outcomes are byte-identical at
+/// every thread count (see the module docs).
 #[allow(clippy::too_many_arguments)] // the experiment axes are exactly these
 pub fn run(
     method: &dyn Method,
@@ -334,10 +332,9 @@ pub fn run(
             method: method.name().to_string(),
         });
     }
-    let threads = match (threads, cfg.runner_threads) {
-        (0, 0) => std::thread::available_parallelism().map_or(4, |n| n.get()),
-        (0, configured) => configured,
-        (explicit, _) => explicit,
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        explicit => explicit,
     };
 
     let n = dataset.questions.len();
@@ -747,18 +744,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_resolves_through_the_config_knob() {
+    fn zero_threads_matches_an_explicit_count() {
         let (world, llm, src) = setup();
         let emb = Embedder::default();
         let ds = simpleq::generate(&world, 8, 13);
-        let cfg = PipelineConfig {
-            runner_threads: 2,
-            ..PipelineConfig::default()
-        };
-        // threads=0 defers to the config; an explicit argument wins.
-        let via_cfg = run(&Io, &llm, Some(&src), None, &emb, &cfg, &ds, 0).unwrap();
+        let cfg = PipelineConfig::default();
+        // threads=0 resolves to the available parallelism.
+        let auto = run(&Io, &llm, Some(&src), None, &emb, &cfg, &ds, 0).unwrap();
         let explicit = run(&Io, &llm, Some(&src), None, &emb, &cfg, &ds, 5).unwrap();
-        assert_eq!(via_cfg.identity_key(), explicit.identity_key());
+        assert_eq!(auto.identity_key(), explicit.identity_key());
     }
 
     #[test]

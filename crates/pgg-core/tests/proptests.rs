@@ -2,7 +2,8 @@
 //! must be byte-identical to the serial reference for any question
 //! subset and thread count, and the public `search_batch` API must
 //! return exactly the hits of the naive oracle
-//! `semvec::reference_top_k`, for folded and unfolded queries alike —
+//! `semvec::reference_top_k`, for folded and unfolded queries alike,
+//! and so must the base's rows re-segmented at any segment count —
 //! plus the determinism contracts of both execution layers: serving
 //! outcomes byte-identical for any worker count, and evaluation-runner
 //! results byte-identical for any thread count, under any fault
@@ -17,7 +18,7 @@ use pgg_core::{
     paper, serve, BaseIndex, Disposition, OfferedTrace, PipelineConfig, PseudoGraphPipeline,
     QuerySlot, RetrievalMode, RunResult, ScoringMode, ServeConfig,
 };
-use semvec::{reference_top_k, Embedder, Hit, QueryStyle};
+use semvec::{reference_top_k, Embedder, Hit, NoisyQuery, QueryStyle, SegmentedIndex};
 use simllm::{FaultPlan, FaultyLlm, ModelProfile, SimLlm};
 use std::sync::{Arc, OnceLock};
 use worldgen::{datasets, derive, generate, SourceConfig, World, WorldConfig};
@@ -247,6 +248,65 @@ fn batched_search_equals_oracle() {
         }
         body(&base_over(10), &texts, k, sigma);
     });
+}
+
+/// Self-queries the re-segmentation check samples, spread evenly over
+/// the base.
+const RESEGMENT_SAMPLE: usize = 24;
+
+/// A real base's rows re-segmented at 1, 2 and 7 segments scan to the
+/// oracle's hits over the production base, for a spread sample of
+/// self-queries (stored vector `id`, salted with `id`) — each as a
+/// one-slot batch, and all of them in one batch. At one segment the
+/// screen counters also equal the production scan's; at several, the
+/// `B_max` margin may rerank more documents (never fewer), which
+/// changes counters but provably not hits.
+#[test]
+fn resegmented_base_equals_the_oracle() {
+    let fix = fixture();
+    let embedder = Embedder::paper();
+    let cfg = PipelineConfig::default();
+    let questions = fix.questions.iter().map(|q| q.as_str());
+    let base = BaseIndex::for_questions(&fix.source, &embedder, &cfg, questions);
+    let prod = base.segmented();
+    assert_eq!(prod.num_segments(), 1, "the fixture base fits one segment");
+    let sentences: Vec<String> = base.verbalised.iter().map(|t| t.sentence()).collect();
+    let texts: Vec<&str> = sentences.iter().map(|s| s.as_str()).collect();
+    let (k, sigma) = (cfg.top_k, cfg.retrieval_jitter);
+    let slots: Vec<NoisyQuery<'_>> = (0..texts.len())
+        .step_by(texts.len().div_ceil(RESEGMENT_SAMPLE))
+        .map(|id| NoisyQuery {
+            vector: prod.vector(id),
+            salt: id as u64,
+        })
+        .collect();
+    let want: Vec<Vec<Hit>> = slots
+        .iter()
+        .map(|q| reference_top_k(prod, q.vector, k, sigma, q.salt))
+        .collect();
+    for segments in [1usize, 2, 7] {
+        let rows = texts.len().div_ceil(segments);
+        let seg = SegmentedIndex::build_parallel(&embedder, &texts, rows, 0);
+        assert_eq!(seg.num_segments(), segments);
+        for (slot, w) in slots.iter().zip(&want) {
+            let one = std::slice::from_ref(slot);
+            let (hits, stats) = seg.top_k_noisy_quant_batch(one, k, sigma).remove(0);
+            let at = format!("{segments} segments, salt {}", slot.salt);
+            assert_eq!(&hits, w, "one slot diverged from the oracle: {at}");
+            if segments == 1 {
+                let prod_stats = prod.top_k_noisy_quant_batch(one, k, sigma)[0].1;
+                assert_eq!(stats, prod_stats, "screen counters differ: {at}");
+            }
+        }
+        let batched = seg.top_k_noisy_quant_batch(&slots, k, sigma);
+        assert_eq!(batched.len(), want.len());
+        for ((hits, _), w) in batched.iter().zip(&want) {
+            assert_eq!(
+                hits, w,
+                "batch diverged from the oracle: {segments} segments"
+            );
+        }
+    }
 }
 
 /// A small world (scale 0.3) with `n` SimpleQuestions questions (seed
