@@ -64,11 +64,13 @@ for committed in results/*.txt; do
     fi
 done
 
-echo "==> miri smoke over the scalar quant kernels (UB gate)"
+echo "==> miri smoke over the portable quant leaves (UB gate)"
 if rustup run nightly cargo miri --version >/dev/null 2>&1; then
-    # Miri reports no AVX2, so runtime dispatch takes the scalar bodies,
-    # which the quant tests check against naive loops. Any UB
-    # (out-of-bounds load, invalid transmute) fails the build here.
+    # Miri reports no AVX2 or AVX-512, so runtime dispatch takes the
+    # portable leaves (group dots, candidate scores, the integer
+    # pre-threshold), which the quant:: tests check against naive loops
+    # and the scalar jitter. Any UB (out-of-bounds load, invalid
+    # transmute) fails the build here.
     rustup run nightly cargo miri test --offline --locked -p semvec --lib quant:: || {
         echo "ci.sh: miri found undefined behavior in the quant kernels" >&2
         exit 1

@@ -7,12 +7,14 @@
 //!
 //! * **build** — serial vs parallel [`BaseIndex`] construction over the
 //!   QALD-10 question union (byte-identical output asserted);
-//! * **batched** — the scan (a query-tiled int8 screen with an exact
-//!   f32 rerank) at batch widths 1/2/3/4/8 over the full base, one
-//!   self-query per stored vector — grounding runs mostly widths 2 and
-//!   3 — with the cost per screened (query, document) pair at each
-//!   width and the speedup over width 1 (hits asserted equal to the
-//!   oracle and screen counters equal to width 1's at every width);
+//! * **batched** — the scan (an int8 screen over 16-row groups with an
+//!   exact f32 rerank) at batch widths 1/2/3/4/8 over the full base,
+//!   one self-query per stored vector — grounding runs mostly widths 2
+//!   and 3 — with the cost per screened (query, document) pair at each
+//!   width, the speedup over width 1 and the group-dots leaf the host
+//!   dispatched (`semvec::screen_kernel`), so every figure is
+//!   attributable (hits asserted equal to the oracle and screen
+//!   counters equal to width 1's at every width);
 //! * **scaling** — the 10k/100k/1M curve over a scaled world: serial
 //!   segmented build time, the virtual 8-thread build makespan (the
 //!   encode chunks of the parallel build re-timed one by one, and the
@@ -125,6 +127,8 @@ struct BatchedWidth {
 struct BatchedTiming {
     queries: usize,
     docs: usize,
+    /// The group-dots leaf the scan dispatched.
+    kernel: &'static str,
     widths: Vec<BatchedWidth>,
     identical: bool,
 }
@@ -177,6 +181,7 @@ fn bench_batched(
     BatchedTiming {
         queries: n,
         docs: vecs.len(),
+        kernel: semvec::screen_kernel(),
         widths,
         identical,
     }
@@ -614,7 +619,7 @@ fn json_report(
             "\"build_threads_used\": {}, \"serial_ms\": {:.1}, ",
             "\"parallel_ms\": {:.1}, \"speedup\": {:.2}, \"identical\": true}},\n",
             "  \"batched\": {{\"queries\": {}, \"docs\": {}, \"k\": {}, \"sigma\": {:.2}, ",
-            "\"identical\": {}, \"widths\": [\n",
+            "\"kernel\": \"{}\", \"identical\": {}, \"widths\": [\n",
             "{}\n",
             "  ]}},\n",
             "  \"scaling\": {{\"k\": {}, \"sigma\": {:.2}, \"build_samples\": {}, \"rows\": [\n",
@@ -644,6 +649,7 @@ fn json_report(
         batched.docs,
         k,
         sigma,
+        batched.kernel,
         batched.identical,
         width_json.join(",\n"),
         k,
@@ -779,13 +785,14 @@ fn main() {
         println!(
             "perf smoke ok: docs={} build byte-identical ({:.0}ms serial / {:.0}ms \
              x{}), batched kernel bit-identical over {} queries at widths \
-             1/2/3/4/8 (ns per pair {}; w8 speedup over w1 {:.2}), e2e \
-             answers identical across cold and warm runs",
+             1/2/3/4/8 (kernel {}; ns per pair {}; w8 speedup over w1 {:.2}), \
+             e2e answers identical across cold and warm runs",
             build.docs,
             build.serial_ms,
             build.parallel_ms,
             build.threads,
             batched.queries,
+            batched.kernel,
             batched_ns,
             batched_w8,
         );
@@ -846,12 +853,13 @@ fn main() {
         .join(" ");
     println!(
         "perf ok: docs={} build_speedup={:.2} batched_w8_speedup={:.2} \
-         warm_qps={:.1}, scaling [{}] stage breakdown [{}] \
+         (kernel {}) warm_qps={:.1}, scaling [{}] stage breakdown [{}] \
          runner thread-identity ok at 1/2/4/8 (8-thread virtual speedup \
          {:.2}x) — BENCH_perf.json written",
         build.docs,
         build.serial_ms / build.parallel_ms,
         batched_w8,
+        batched.kernel,
         e2e_set.questions.len() as f64 / (e2e.warm_ms / 1e3),
         scaling_desc,
         stage_desc,

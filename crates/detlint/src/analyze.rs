@@ -22,7 +22,7 @@
 
 use crate::diag::{Code, Diagnostic, Suppression};
 use crate::lexer::{lex, Comment, Tok, TokKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a file sits in the workspace, which decides check scoping.
 #[derive(Debug, Clone, Default)]
@@ -105,7 +105,7 @@ pub fn analyze_with(
     workspace_hash_idents: &BTreeSet<String>,
 ) -> Vec<Diagnostic> {
     let lexed = lex(src);
-    let mut a = FileAnalysis::new(class, &lexed.tokens, &lexed.comments);
+    let mut a = FileAnalysis::new(class, src, &lexed.tokens, &lexed.comments);
     a.global_hash_fields
         .extend(workspace_hash_idents.iter().cloned());
     a.run()
@@ -118,7 +118,7 @@ pub fn analyze_with(
 pub fn hash_field_names(src: &str) -> BTreeSet<String> {
     let lexed = lex(src);
     let class = FileClass::default();
-    let a = FileAnalysis::new(&class, &lexed.tokens, &lexed.comments);
+    let a = FileAnalysis::new(&class, src, &lexed.tokens, &lexed.comments);
     a.hash_fields
 }
 
@@ -132,6 +132,8 @@ struct AllowDirective {
 
 struct FileAnalysis<'a> {
     class: &'a FileClass,
+    /// The source the tokens index into (string literal contents).
+    src: &'a str,
     toks: &'a [Tok],
     comments: &'a [Comment],
     /// Parens+brackets depth *before* each token.
@@ -166,12 +168,15 @@ struct FnDef {
     /// Body token range `(open_brace_idx, close_brace_idx)`, if any.
     body: Option<(usize, usize)>,
     target_feature: bool,
+    /// The features its `#[target_feature(enable = "…")]` lists.
+    features: BTreeSet<String>,
 }
 
 impl<'a> FileAnalysis<'a> {
-    fn new(class: &'a FileClass, toks: &'a [Tok], comments: &'a [Comment]) -> Self {
+    fn new(class: &'a FileClass, src: &'a str, toks: &'a [Tok], comments: &'a [Comment]) -> Self {
         let mut a = FileAnalysis {
             class,
+            src,
             toks,
             comments,
             pb_depth: Vec::new(),
@@ -280,6 +285,20 @@ impl<'a> FileAnalysis<'a> {
         self.attr_ranges.iter().any(|&(s, e)| idx >= s && idx <= e)
     }
 
+    /// The contents of the string literal at `toks[i]` (between its
+    /// first two quotes, raw or not), if it is one without escapes.
+    fn str_lit(&self, i: usize) -> Option<&'a str> {
+        let tok = self.toks.get(i)?;
+        if tok.kind != TokKind::Str {
+            return None;
+        }
+        let rest = self.src.get(tok.off..)?;
+        let open = rest.find('"')? + 1;
+        let len = rest[open..].find('"')?;
+        let body = &rest[open..open + len];
+        (!body.contains('\\')).then_some(body)
+    }
+
     /// Mark the token range of the item following each test-marking
     /// attribute (`#[cfg(test)]`, `#[test]`, `#[bench]`, …).
     fn collect_test_ranges(&mut self) {
@@ -365,6 +384,7 @@ impl<'a> FileAnalysis<'a> {
                 }
             }
             let mut target_feature = false;
+            let mut features = BTreeSet::new();
             // Walk attribute groups immediately above.
             let mut above = k;
             while above > 0 {
@@ -380,6 +400,18 @@ impl<'a> FileAnalysis<'a> {
                             .any(|t| t.is_ident("target_feature"))
                         {
                             target_feature = true;
+                            // `enable = "a,b"`: every literal in the
+                            // attribute names features.
+                            for j in s..=e {
+                                if let Some(list) = self.str_lit(j) {
+                                    features.extend(
+                                        list.split(',')
+                                            .map(str::trim)
+                                            .filter(|f| !f.is_empty())
+                                            .map(str::to_string),
+                                    );
+                                }
+                            }
                         }
                         above = s;
                     }
@@ -409,6 +441,7 @@ impl<'a> FileAnalysis<'a> {
                 name_idx: i + 1,
                 body,
                 target_feature,
+                features,
             });
         }
         self.fns = fns;
@@ -1114,15 +1147,37 @@ impl<'a> FileAnalysis<'a> {
         toks.get(j).is_some_and(|t| t.is_punct('('))
     }
 
+    /// The features named by `is_x86_feature_detected!("…")` checks
+    /// among `toks[from..to]`.
+    fn detected_features(&self, from: usize, to: usize) -> BTreeSet<&'a str> {
+        let toks = self.toks;
+        (from..to)
+            .filter(|&i| {
+                toks[i].is_ident("is_x86_feature_detected")
+                    && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
+                    && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
+            })
+            .filter_map(|i| self.str_lit(i + 3))
+            .collect()
+    }
+
+    /// DL005: a call to a `#[target_feature]` fn is gated when every
+    /// feature the callee enables is either named by an
+    /// `is_x86_feature_detected!` check earlier in the calling fn's body
+    /// or enabled by the caller's own `#[target_feature]`. A check of
+    /// some other feature does not gate the call.
     fn check_target_feature_gating(&self, diags: &mut Vec<Diagnostic>) {
         let toks = self.toks;
-        let tf_names: BTreeSet<&str> = self
-            .fns
-            .iter()
-            .filter(|f| f.target_feature)
-            .map(|f| f.name.as_str())
-            .collect();
-        if tf_names.is_empty() {
+        // Same-named definitions (methods of different impls) pool
+        // their features: a call must be gated for all of them.
+        let mut tf_features: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for f in self.fns.iter().filter(|f| f.target_feature) {
+            tf_features
+                .entry(f.name.as_str())
+                .or_default()
+                .extend(f.features.iter().map(String::as_str));
+        }
+        if tf_features.is_empty() {
             return;
         }
         let def_name_idxs: BTreeSet<usize> = self
@@ -1135,25 +1190,29 @@ impl<'a> FileAnalysis<'a> {
             let Some(name) = toks[i].ident() else {
                 continue;
             };
-            if !tf_names.contains(name)
-                || def_name_idxs.contains(&i)
+            let Some(needed) = tf_features.get(name) else {
+                continue;
+            };
+            if def_name_idxs.contains(&i)
                 || !self.is_call(i)
                 || (i > 0 && toks[i - 1].is_ident("fn"))
                 || self.in_attr(i)
             {
                 continue;
             }
-            let gated = match self.enclosing_fn(i) {
-                Some(f) if f.target_feature => true,
+            let missing: Vec<&str> = match self.enclosing_fn(i) {
                 Some(f) => {
                     let (open, _) = f.body.unwrap();
-                    toks[open..i]
+                    let detected = self.detected_features(open, i);
+                    needed
                         .iter()
-                        .any(|t| t.is_ident("is_x86_feature_detected"))
+                        .filter(|feat| !detected.contains(*feat) && !f.features.contains(**feat))
+                        .copied()
+                        .collect()
                 }
-                None => false,
+                None => needed.iter().copied().collect(),
             };
-            if gated {
+            if missing.is_empty() {
                 continue;
             }
             diags.push(Diagnostic {
@@ -1162,8 +1221,10 @@ impl<'a> FileAnalysis<'a> {
                 line: toks[i].line,
                 col: toks[i].col,
                 message: format!(
-                    "call to `#[target_feature]` fn `{name}` outside an \
-                     `is_x86_feature_detected!`-gated dispatcher"
+                    "call to `#[target_feature]` fn `{name}` without an \
+                     `is_x86_feature_detected!` check (or caller \
+                     `#[target_feature]`) for `{}`",
+                    missing.join("`, `")
                 ),
                 suppression: None,
             });

@@ -29,8 +29,10 @@ pub enum Code {
     /// DL004: unseeded randomness (`thread_rng`, `from_entropy`,
     /// argless `rng()`) anywhere in the workspace.
     UnseededRandomness,
-    /// DL005: a `#[target_feature]` function with a call site outside
-    /// an `is_x86_feature_detected!`-gated dispatcher in its module.
+    /// DL005: a call to a `#[target_feature]` function where some
+    /// feature it enables is neither named by an
+    /// `is_x86_feature_detected!` check earlier in the caller nor
+    /// enabled by the caller's own `#[target_feature]`.
     UngatedTargetFeature,
     /// DL006: `f32`/`f64` `+=` accumulation inside a `thread::scope` /
     /// `spawn` region — float addition is not associative, so the

@@ -122,12 +122,19 @@ fn dl004_quiet_on_seeded_and_user_defined_rng() {
 fn dl005_fires_on_ungated_target_feature_call() {
     let src = include_str!("fixtures/dl005_pos.rs");
     let hits = active(src, Code::UngatedTargetFeature);
-    // One plain call and one turbofish call (`tile_avx2::<3>(…)`).
-    assert_eq!(hits.len(), 2, "{hits:?}");
-    for (hit, name) in hits.iter().zip(["kernel_avx2", "tile_avx2"]) {
+    // One plain call, one turbofish call (`tile_avx2::<3>(…)`), and a
+    // call behind checks that name avx2 and avx512bw but not avx512vnni.
+    assert_eq!(hits.len(), 3, "{hits:?}");
+    for (hit, name) in hits.iter().zip(["kernel_avx2", "tile_avx2", "kernel_vnni"]) {
         assert_spanned(hit, src);
         assert!(hit.message.contains(name), "{}", hit.message);
     }
+    assert!(
+        hits[2].message.contains("`avx512vnni`"),
+        "{}",
+        hits[2].message
+    );
+    assert!(!hits[2].message.contains("avx512bw"), "{}", hits[2].message);
     // The SAFETY comments keep DL002 quiet, so this fixture isolates DL005.
     assert_eq!(active(src, Code::UnsafeWithoutContract), vec![]);
 }

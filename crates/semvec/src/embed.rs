@@ -9,7 +9,7 @@
 
 use crate::idf::IdfModel;
 use crate::synonym::SynonymTable;
-use crate::token::{char_ngrams, normalize};
+use crate::token::{for_each_trigram, normalize};
 use kgstore::hash::{mix2, stable_str_hash};
 use std::sync::Arc;
 
@@ -144,9 +144,9 @@ impl Embedder {
             let idf_scale = self.idf.as_deref().map_or(1.0, |m| m.weight(folded) / 2.0);
             self.add_feature(v, folded, self.cfg.word_weight * idf_scale);
             if self.cfg.char_weight > 0.0 && folded.len() > 3 {
-                for gram in char_ngrams(folded, 3) {
-                    self.add_feature(v, &gram, self.cfg.char_weight * idf_scale);
-                }
+                for_each_trigram(folded, |gram| {
+                    self.add_feature(v, gram, self.cfg.char_weight * idf_scale)
+                });
             }
         }
         if self.cfg.noise > 0.0 && !tokens.is_empty() {
@@ -267,6 +267,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::idf::IdfModel;
 
     fn emb() -> Embedder {
         Embedder::default()
@@ -401,7 +402,6 @@ mod tests {
 
     #[test]
     fn idf_weighting_shifts_similarity_toward_rare_tokens() {
-        use crate::idf::IdfModel;
         let corpus = [
             "A instance of person",
             "B instance of person",
@@ -430,6 +430,82 @@ mod tests {
             sep(&weighted),
             sep(&plain)
         );
+    }
+
+    /// Character n-grams of a token as owned strings — the whole token
+    /// when it has fewer than `n` characters: the reference the
+    /// allocation-free trigram walk of `encode` is checked against.
+    fn char_ngrams(tok: &str, n: usize) -> Vec<String> {
+        let chars: Vec<char> = tok.chars().collect();
+        if chars.len() < n {
+            return vec![tok.to_string()];
+        }
+        (0..=chars.len() - n)
+            .map(|i| chars[i..i + n].iter().collect())
+            .collect()
+    }
+
+    /// `encode_impl` with its sub-word features built by
+    /// [`char_ngrams`].
+    fn encode_by_char_ngrams(e: &Embedder, text: &str, fold: bool) -> Vector {
+        let mut v = vec![0.0f32; e.dim()];
+        let tokens = normalize(text);
+        for tok in &tokens {
+            let folded = if fold { e.synonyms.fold(tok) } else { tok };
+            let idf_scale = e.idf.as_deref().map_or(1.0, |m| m.weight(folded) / 2.0);
+            e.add_feature(&mut v, folded, e.cfg.word_weight * idf_scale);
+            if e.cfg.char_weight > 0.0 && folded.len() > 3 {
+                for gram in char_ngrams(folded, 3) {
+                    e.add_feature(&mut v, &gram, e.cfg.char_weight * idf_scale);
+                }
+            }
+        }
+        if e.cfg.noise > 0.0 && !tokens.is_empty() {
+            e.add_noise(&mut v, text);
+        }
+        l2_normalize(&mut v);
+        v
+    }
+
+    #[test]
+    fn char_ngrams_basic() {
+        assert_eq!(char_ngrams("abcd", 3), ["abc", "bcd"]);
+        assert_eq!(char_ngrams("ab", 3), ["ab"]);
+    }
+
+    #[test]
+    fn encode_equals_its_char_ngram_definition_bit_for_bit() {
+        // Tokens of one to four bytes per char: accented Latin, CJK,
+        // 4-byte mathematical letters (emoji split tokens), and 2-char
+        // tokens of 4 and 8 bytes (past the 3-byte gate, under three
+        // chars), in both query styles, with and without noise and IDF
+        // weights.
+        let corpus = [
+            "Yao Ming born in Shanghai",
+            "Kovács Kati place of birth Győr",
+            "naïve café résumé Zürich Straße",
+            "東京タワー height 333 metres",
+            "ñandú éé 𝔘𝔫 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 😀😀 😀a😀",
+            "/people/person/place_of_birth COMES_WITH MountainRange",
+            "ab abc abcd",
+        ];
+        let idf = Arc::new(IdfModel::fit(
+            corpus.iter().copied(),
+            &SynonymTable::builtin(),
+        ));
+        for e in [
+            Embedder::default(),
+            Embedder::paper(),
+            Embedder::paper().with_idf(idf),
+        ] {
+            for text in corpus {
+                for (fold, got) in [(true, e.encode(text)), (false, e.encode_unfolded(text))] {
+                    let want = encode_by_char_ngrams(&e, text, fold);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{text:?} fold {fold}");
+                }
+            }
+        }
     }
 
     #[test]

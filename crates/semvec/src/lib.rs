@@ -7,13 +7,15 @@
 //! (same fact > related fact > unrelated), plus one retrieval engine,
 //! [`SegmentedIndex`], and the naive oracle it is checked against.
 //!
-//! * [`token`] — tokenizer, stopwords, conservative stemmer, n-grams;
+//! * [`token`] — tokenizer, stopwords, conservative stemmer;
 //! * [`synonym`] — folding of verbalisation variants (schema-agnostic);
 //! * [`embed`] — the encoder (ℝ^256, signed feature hashing, L2-norm);
 //! * [`index`] — hits, bounded top-k selection, the retrieval jitter,
 //!   and the naive reference oracle [`reference_top_k`];
-//! * [`quant`] — int8 scalar quantization, the batched integer dot
-//!   kernel, and the per-pair error bound behind the two-stage scan;
+//! * [`quant`] — int8 scalar quantization, the screen's two leaves
+//!   (16-row group dots, 16-candidate scores) with their AVX-512, AVX2
+//!   and portable bodies, and the per-pair error bound behind the
+//!   two-stage scan;
 //! * [`seg`] — the engine: f32 rows in fixed-size segments with
 //!   per-segment int8 shadows, and its one scan — a batched int8 screen
 //!   with an exact f32 rerank — bit-identical to [`reference_top_k`];
@@ -33,7 +35,7 @@ pub mod verbalize;
 pub use embed::{cosine, dot, l2_normalize, EmbedConfig, Embedder, QueryStyle, Vector};
 pub use idf::IdfModel;
 pub use index::{jitter, reference_top_k, Hit, NoisyQuery, TopK};
-pub use quant::{dot_i8_batch, pair_error_bound, quantize_block, QuantQuery, ScreenStats};
+pub use quant::{pair_error_bound, quantize_block, screen_kernel, QuantQuery, ScreenStats};
 pub use seg::{
     build_chunk_ranges, resolve_build_threads, SegmentedIndex, PARALLEL_BUILD_MIN_DOCS,
     SEG_ROWS_DEFAULT,

@@ -47,16 +47,43 @@
 //!   `θ̂`, the rerank set and the `reranked` counter are therefore
 //!   exactly those of screening every document first and applying the
 //!   final margin after; the kept pairs are filtered against the final
-//!   margin and reranked. A pair is dropped before its jitter is
-//!   hashed when `fl(a + jmax)` is below the margin (`a` the
-//!   dequantized dot, `jmax` the largest jitter): every f32 operation
-//!   of the jitter is monotone in its unit value, so its screened
-//!   score `fl(a + jitter) ≤ fl(a + jmax)`.
+//!   margin and reranked.
+//!
+//!   Each segment is screened in groups of `GROUP` (16) rows, and a pair
+//!   reaches the heap in two steps:
+//!
+//!   1. **Integer pre-threshold.** A pair is dropped before its jitter
+//!      is hashed when `fl(a + jmax)` is below the running margin (`a`
+//!      the dequantized dot `fl(d)·factor`, `jmax` the largest
+//!      jitter): every f32 operation of the jitter is monotone in its
+//!      unit value, so its screened score `fl(a + jitter) ≤
+//!      fl(a + jmax)`. That test is monotone in the integer dot `d`, so
+//!      it is the integer compare `d ≥ t` with `t` the least passing
+//!      dot (`quant::pre_threshold`), found by evaluating the test
+//!      itself: exact by construction. `t` is recomputed at each
+//!      segment start (the factor changes) and whenever the query's
+//!      margin rises; a `t` from a lower margin only lets more pairs
+//!      through.
+//!   2. **Packed candidates.** The pairs at or above `t` are packed per
+//!      query and scored `GROUP` (16) at a time
+//!      (`quant::score_candidates`), then offered in id order against
+//!      the *live* margin, each rise applied before the next. A packed
+//!      pair is tested no earlier than it was screened, so the margin
+//!      it sees is at least the one it passed `t` under: a pair skipped
+//!      there has `s < θ̂_run` at that moment, so offering it would not
+//!      have changed the quantized heap, and it is below the final
+//!      margin.
+//!      Every pair with `s` at or above the final margin passes both
+//!      steps, since every running margin is at most the final one. So
+//!      `θ̂`, the kept set after the final-margin filter, and
+//!      `reranked` are exactly those of testing every pair in id order
+//!      against the margin of the moment. The buffers are flushed at
+//!      each segment end (the factor changes there).
 
 use crate::embed::{dot, Embedder};
 use crate::index::{jitter, jitter_max, Hit, NoisyQuery, TopK};
-use crate::quant::{dot_i8_batch, pair_error_bound, quantize_block};
-use crate::quant::{QuantQuery, ScreenStats};
+use crate::quant::{pair_error_bound, pre_threshold, quantize_block, score_candidates};
+use crate::quant::{Cands, Kernel, QuantQuery, ScoreParams, Screen, ScreenStats, GROUP};
 use kgstore::hash::FxHashMap;
 
 /// Default documents per segment. At the seed corpus (~6k docs) this
@@ -152,6 +179,11 @@ impl SegmentedIndex {
         assert!(seg_rows > 0, "segments need at least one row");
         let dim = embedder.dim();
         let n_docs = texts.len();
+        // The screen packs candidate ids into u32 lanes.
+        assert!(
+            u32::try_from(n_docs).is_ok(),
+            "{n_docs} documents overflow the screen's u32 ids"
+        );
 
         // The id of each text's first occurrence.
         let mut first_of_text: FxHashMap<&str, usize> = FxHashMap::default();
@@ -319,11 +351,24 @@ impl SegmentedIndex {
     /// One pass: each query's `B_max` is fixed before the screen, so
     /// its running margin only rises, and the screen keeps just the
     /// pairs at or above it — the only ones that can enter the
-    /// quantized heap or survive the final margin. A pair whose score
-    /// plus the largest possible jitter (`jitter_max`) is already
-    /// below the margin is dropped before its jitter is hashed.
+    /// quantized heap or survive the final margin. Each 16-row group is
+    /// screened against every query's integer pre-threshold, and the
+    /// pairs that pass are scored sixteen at a time.
     pub fn top_k_noisy_quant_batch(
         &self,
+        queries: &[NoisyQuery<'_>],
+        k: usize,
+        sigma: f32,
+    ) -> Vec<(Vec<Hit>, ScreenStats)> {
+        self.scan(Kernel::detect(), queries, k, sigma)
+    }
+
+    /// [`top_k_noisy_quant_batch`](Self::top_k_noisy_quant_batch)
+    /// through one leaf family: the seam the tests run the portable
+    /// leaves through on any host.
+    pub(crate) fn scan(
+        &self,
+        kernel: Kernel,
         queries: &[NoisyQuery<'_>],
         k: usize,
         sigma: f32,
@@ -332,81 +377,64 @@ impl SegmentedIndex {
             assert_eq!(q.vector.len(), self.dim, "dimension mismatch");
         }
         let n = self.n_docs;
-        if k == 0 || n == 0 {
+        if k == 0 || n == 0 || queries.is_empty() {
             return vec![(Vec::new(), ScreenStats::default()); queries.len()];
         }
         let sigma = sigma.max(0.0);
         let jmax = jitter_max(sigma);
         let qqs: Vec<QuantQuery> = queries.iter().map(|q| QuantQuery::new(q.vector)).collect();
-        let qrows: Vec<&[i8]> = qqs.iter().map(|qq| qq.row()).collect();
-        let b_max: Vec<f64> = qqs
+        let screen = Screen::new(kernel, qqs.iter().map(|qq| qq.row()).collect(), self.dim);
+        let mut slots: Vec<SlotScan> = queries
             .iter()
-            .map(|qq| {
-                self.segments
+            .zip(&qqs)
+            .map(|(q, qq)| {
+                let b_max = self
+                    .segments
                     .iter()
                     .map(|seg| self.seg_bound(qq, seg))
-                    .fold(0.0, f64::max)
+                    .fold(0.0, f64::max);
+                SlotScan {
+                    top: TopK::new(k),
+                    kept: Vec::new(),
+                    b_max,
+                    margin: f64::NEG_INFINITY,
+                    params: ScoreParams {
+                        factor: 0.0,
+                        salt: q.salt,
+                        sigma,
+                        jmax,
+                    },
+                }
             })
             .collect();
-        let margin_of = |top: &TopK, b_max: f64| match top.bound() {
-            Some(kth) => kth.score as f64 - 2.0 * b_max,
-            None => f64::NEG_INFINITY,
-        };
-        let mut quant_tops: Vec<TopK> = queries.iter().map(|_| TopK::new(k)).collect();
-        let mut kept: Vec<Vec<Hit>> = vec![Vec::new(); queries.len()];
-        let mut raw: Vec<Vec<i32>> = vec![Vec::new(); queries.len()];
+        let mut thresholds = vec![i32::MIN; queries.len()];
+        let mut cands = vec![Cands::default(); queries.len()];
         for seg in &self.segments {
-            for r in raw.iter_mut() {
-                r.clear();
-                r.reserve(seg.rows);
+            for ((slot, qq), t) in slots.iter_mut().zip(&qqs).zip(&mut thresholds) {
+                slot.params.factor = qq.scale() * seg.scale;
+                *t = slot.threshold(self.dim);
             }
-            dot_i8_batch(&qrows, &seg.quant, self.dim, &mut raw);
-            for slot in 0..queries.len() {
-                let (q, top, kept) = (&queries[slot], &mut quant_tops[slot], &mut kept[slot]);
-                let factor = qqs[slot].scale() * seg.scale;
-                let mut margin = margin_of(top, b_max[slot]);
-                for (c, dots) in raw[slot].chunks(64).enumerate() {
-                    // Bit j is set unless even the largest jitter
-                    // leaves pair j below the margin so far. Built
-                    // without branches: the test passes for a
-                    // data-dependent share of pairs that the branch
-                    // predictor cannot learn.
-                    let mut maybe = 0u64;
-                    for (j, &d) in dots.iter().enumerate() {
-                        let below = ((d as f32 * factor + jmax) as f64) < margin;
-                        maybe |= (u64::from(below) ^ 1) << j;
-                    }
-                    while maybe != 0 {
-                        let j = maybe.trailing_zeros() as usize;
-                        maybe &= maybe - 1;
-                        let id = seg.base + c * 64 + j;
-                        let a = dots[j] as f32 * factor;
-                        let s = if sigma > 0.0 {
-                            a + jitter(q.salt, id, sigma)
-                        } else {
-                            a
-                        };
-                        if (s as f64) < margin {
-                            continue;
-                        }
-                        let hit = Hit { id, score: s };
-                        top.offer(hit);
-                        kept.push(hit);
-                        margin = margin_of(top, b_max[slot]);
+            for (g, rows) in seg.quant.chunks(GROUP * self.dim).enumerate() {
+                let base = (seg.base + g * GROUP) as u32;
+                screen.group(rows, base, &thresholds, &mut cands);
+                for ((slot, c), t) in slots.iter_mut().zip(&mut cands).zip(&mut thresholds) {
+                    if c.len() >= GROUP && slot.drain(kernel, c, GROUP) {
+                        *t = slot.threshold(self.dim);
                     }
                 }
+            }
+            for (slot, c) in slots.iter_mut().zip(&mut cands) {
+                slot.drain(kernel, c, c.len());
             }
         }
         queries
             .iter()
-            .zip(quant_tops)
-            .zip(kept)
-            .zip(b_max)
-            .map(|(((q, quant_top), kept), b_max)| {
-                let margin = margin_of(&quant_top, b_max);
+            .zip(slots)
+            .map(|(q, slot)| {
+                let margin = slot.margin;
                 let mut top = TopK::new(k);
                 let mut reranked = 0u64;
-                for h in kept {
+                for h in slot.kept {
                     if (h.score as f64) < margin {
                         continue;
                     }
@@ -429,11 +457,65 @@ impl SegmentedIndex {
     }
 }
 
+/// One query's state through the screen: its quantized heap, the pairs
+/// kept for the rerank, its largest per-segment error bound, its
+/// running margin `θ̂_run − 2·B_max` (−∞ before k offers) and what its
+/// candidate scores in the current segment depend on.
+struct SlotScan {
+    top: TopK,
+    kept: Vec<Hit>,
+    b_max: f64,
+    margin: f64,
+    params: ScoreParams,
+}
+
+impl SlotScan {
+    /// The query's integer pre-threshold in the current segment at its
+    /// running margin.
+    fn threshold(&self, dim: usize) -> i32 {
+        pre_threshold(self.params.factor, self.params.jmax, self.margin, dim)
+    }
+
+    /// Score the first `n` of the query's packed candidates and offer,
+    /// in id order, each at or above the live margin to the quantized
+    /// heap and the kept list, raising the margin as the heap's k-th
+    /// score rises. Returns whether the margin rose.
+    fn drain(&mut self, kernel: Kernel, cands: &mut Cands, n: usize) -> bool {
+        if n == 0 {
+            return false;
+        }
+        let before = self.margin;
+        let mut scores = [0f32; GROUP];
+        let mut pass = score_candidates(kernel, cands, n, self.params, self.margin, &mut scores);
+        while pass != 0 {
+            let j = pass.trailing_zeros() as usize;
+            pass &= pass - 1;
+            let score = scores[j];
+            if (score as f64) < self.margin {
+                continue;
+            }
+            let hit = Hit {
+                id: cands.id(j),
+                score,
+            };
+            self.top.offer(hit);
+            self.kept.push(hit);
+            if let Some(kth) = self.top.bound() {
+                self.margin = kth.score as f64 - 2.0 * self.b_max;
+            }
+        }
+        cands.consume(n);
+        self.margin > before
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::reference_top_k;
+    use crate::{EmbedConfig, SynonymTable};
     use kgstore::hash::stable_str_hash;
+    use kgstore::rng::check;
 
     fn corpus(n: usize) -> Vec<String> {
         (0..n)
@@ -574,6 +656,66 @@ mod tests {
             }
             assert_eq!(covered, n, "n {n} t {t}");
         }
+    }
+
+    #[test]
+    fn every_leaf_family_scans_like_the_dispatched_one() {
+        // The scan through the portable leaves — and through every other
+        // leaf family this host runs — equals the dispatched scan, hits
+        // to the bit and counters, on generated corpora: dims with and
+        // without a 64-byte tail, segment sizes that leave partial
+        // groups, batch widths 0–9 with repeated and self-matching
+        // queries, k past the corpus size, sigma 0 and above.
+        check(64, 0x5EA4, |rng| {
+            let dim = [256usize, 100, 7][rng.random_range(0..3)];
+            let cfg = EmbedConfig {
+                dim,
+                noise: 0.6,
+                ..Default::default()
+            };
+            let emb = Embedder::new(cfg, SynonymTable::builtin());
+            let n = rng.random_range(1..300);
+            let docs: Vec<String> = (0..n).map(|_| rng.string("a-j ", 1..=30)).collect();
+            let refs: Vec<&str> = docs.iter().map(|s| s.as_str()).collect();
+            let idx = SegmentedIndex::build_parallel(&emb, &refs, rng.random_range(1..n + 40), 1);
+            let texts: Vec<String> = (0..rng.random_range(0..10))
+                .map(|_| match rng.random_range(0..3) {
+                    0 => docs[rng.random_range(0..n)].clone(),
+                    _ => rng.string("a-j ", 1..=30),
+                })
+                .collect();
+            let vecs: Vec<Vec<f32>> = texts.iter().map(|t| emb.encode(t)).collect();
+            let salt = rng.next_u64();
+            let slots: Vec<NoisyQuery> = vecs
+                .iter()
+                .enumerate()
+                .map(|(i, v)| NoisyQuery {
+                    vector: v,
+                    salt: salt.wrapping_add((i % 3) as u64),
+                })
+                .collect();
+            let k = rng.random_range(1..40);
+            let sigma = [0.0f32, 0.3, 0.6][rng.random_range(0..3)];
+            let bits =
+                |scan: Vec<(Vec<Hit>, ScreenStats)>| -> Vec<(Vec<(usize, u32)>, ScreenStats)> {
+                    scan.into_iter()
+                        .map(|(hits, stats)| {
+                            let hits = hits.iter().map(|h| (h.id, h.score.to_bits())).collect();
+                            (hits, stats)
+                        })
+                        .collect()
+                };
+            let want = bits(idx.top_k_noisy_quant_batch(&slots, k, sigma));
+            for kernel in Kernel::supported() {
+                let got = bits(idx.scan(kernel, &slots, k, sigma));
+                assert_eq!(
+                    got,
+                    want,
+                    "{} dim {dim} n {n} k {k} sigma {sigma}",
+                    kernel.name()
+                );
+            }
+        });
     }
 
     #[test]

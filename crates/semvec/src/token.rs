@@ -86,16 +86,31 @@ pub fn normalize(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Character n-grams of a token (used as sub-word features so near-miss
-/// spellings still overlap).
-pub fn char_ngrams(tok: &str, n: usize) -> Vec<String> {
-    let chars: Vec<char> = tok.chars().collect();
-    if chars.len() < n {
-        return vec![tok.to_string()];
+/// Feed `f` every character trigram of `tok` in order — or the whole
+/// token when it has fewer than three characters — each as a slice of
+/// the token cut at char boundaries (the encoder's sub-word features,
+/// so near-miss spellings still overlap). A slice holds the same bytes
+/// as the trigram collected into a `String`, so it hashes the same,
+/// without allocating.
+pub(crate) fn for_each_trigram(tok: &str, mut f: impl FnMut(&str)) {
+    // `starts` holds the byte offsets of the last three chars seen; each
+    // further char boundary (or the end) closes the trigram they start.
+    let mut starts = [0usize; 3];
+    let mut bounds = 0;
+    for end in tok
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain(std::iter::once(tok.len()))
+    {
+        if bounds >= 3 {
+            f(&tok[starts[0]..end]);
+        }
+        starts = [starts[1], starts[2], end];
+        bounds += 1;
     }
-    (0..=chars.len() - n)
-        .map(|i| chars[i..i + n].iter().collect())
-        .collect()
+    if bounds < 4 {
+        f(tok);
+    }
 }
 
 #[cfg(test)]
@@ -142,9 +157,19 @@ mod tests {
     }
 
     #[test]
-    fn char_ngrams_basic() {
-        assert_eq!(char_ngrams("abcd", 3), ["abc", "bcd"]);
-        assert_eq!(char_ngrams("ab", 3), ["ab"]);
+    fn trigrams_slice_at_char_boundaries() {
+        let grams = |tok: &str| {
+            let mut out = Vec::new();
+            for_each_trigram(tok, |g| out.push(g.to_string()));
+            out
+        };
+        assert_eq!(grams("abcd"), ["abc", "bcd"]);
+        assert_eq!(grams("abc"), ["abc"]);
+        assert_eq!(grams("ab"), ["ab"]);
+        assert_eq!(grams(""), [""]);
+        assert_eq!(grams("kovács"), ["kov", "ová", "vác", "ács"]);
+        assert_eq!(grams("𝔘𝔫𝔦𝔠"), ["𝔘𝔫𝔦", "𝔫𝔦𝔠"]);
+        assert_eq!(grams("😀😀"), ["😀😀"]);
     }
 
     #[test]
