@@ -67,10 +67,12 @@ done
 echo "==> miri smoke over the portable quant leaves (UB gate)"
 if rustup run nightly cargo miri --version >/dev/null 2>&1; then
     # Miri reports no AVX2 or AVX-512, so runtime dispatch takes the
-    # portable leaves (group dots, candidate scores, the integer
-    # pre-threshold), which the quant:: tests check against naive loops
-    # and the scalar jitter. Any UB (out-of-bounds load, invalid
-    # transmute) fails the build here.
+    # portable leaves (the portable block leaf's group dots over the
+    # 16-row, 64-byte-chunk layout, candidate scores, the integer
+    # pre-threshold) and the one-pass block quantizer, which the quant::
+    # tests check against naive loops over the block layout, the
+    # row-major quantization and the scalar jitter. Any UB
+    # (out-of-bounds load, invalid transmute) fails the build here.
     rustup run nightly cargo miri test --offline --locked -p semvec --lib quant:: || {
         echo "ci.sh: miri found undefined behavior in the quant kernels" >&2
         exit 1

@@ -10,11 +10,13 @@
 //! * **batched** — the scan (an int8 screen over 16-row groups with an
 //!   exact f32 rerank) at batch widths 1/2/3/4/8 over the full base,
 //!   one self-query per stored vector — grounding runs mostly widths 2
-//!   and 3 — with the cost per screened (query, document) pair at each
-//!   width, the speedup over width 1 and the group-dots leaf the host
+//!   and 3 — each width timed [`BATCHED_REPS`] times in turn, with the
+//!   cost per screened (query, document) pair at each width (the
+//!   fastest repetition, and the slowest over the fastest as its
+//!   spread), the speedup over width 1 and the group-dots leaf the host
 //!   dispatched (`semvec::screen_kernel`), so every figure is
 //!   attributable (hits asserted equal to the oracle and screen
-//!   counters equal to width 1's at every width);
+//!   counters equal to width 1's at every width and repetition);
 //! * **scaling** — the 10k/100k/1M curve over a scaled world: serial
 //!   segmented build time, the virtual 8-thread build makespan (the
 //!   encode chunks of the parallel build re-timed one by one, and the
@@ -119,9 +121,18 @@ fn oracle_self_queries(base: &SegmentedIndex, n: usize, k: usize, sigma: f32) ->
         .collect()
 }
 
+/// Timed repetitions of each batched width in the full run (the smoke
+/// runs one): a shared box can move one wall-clock timing 1.5× between
+/// back-to-back runs, and the fastest of several is the repeatable
+/// figure.
+const BATCHED_REPS: usize = 5;
+
 struct BatchedWidth {
     width: usize,
+    /// The fastest repetition.
     batch_ms: f64,
+    /// The slowest repetition over the fastest.
+    spread: f64,
 }
 
 struct BatchedTiming {
@@ -129,6 +140,8 @@ struct BatchedTiming {
     docs: usize,
     /// The group-dots leaf the scan dispatched.
     kernel: &'static str,
+    /// Timed repetitions of each width.
+    reps: usize,
     widths: Vec<BatchedWidth>,
     identical: bool,
 }
@@ -141,23 +154,26 @@ impl BatchedTiming {
 }
 
 /// The scan at each batch width: every stored vector queried back
-/// against the full base, fed to the scan in chunks of the width.
-/// Every width's per-query hits must equal `oracle` and its screen
-/// counters width 1's.
+/// against the full base, fed to the scan in chunks of the width, the
+/// widths timed in turn `reps` times over. Every repetition's per-query
+/// hits must equal `oracle` and its screen counters width 1's.
 fn bench_batched(
     exp: &Experiment,
     base: &BaseIndex,
     queries: usize,
     oracle: &[Vec<Hit>],
+    reps: usize,
 ) -> BatchedTiming {
     let vecs = base.segmented();
     let (k, sigma) = (exp.cfg.top_k, exp.cfg.retrieval_jitter);
     let n = queries.min(vecs.len());
 
-    let mut widths = Vec::new();
+    let widths = [1usize, 2, 3, 4, 8];
+    let mut times = vec![Vec::with_capacity(reps); widths.len()];
     let mut identical = true;
     let mut width1_stats: Option<Vec<ScreenStats>> = None;
-    for width in [1usize, 2, 3, 4, 8] {
+    for round in 0..reps * widths.len() {
+        let width = widths[round % widths.len()];
         let t = Instant::now();
         let mut batched = Vec::with_capacity(n);
         let mut start = 0;
@@ -172,16 +188,29 @@ fn bench_batched(
             batched.extend(vecs.top_k_noisy_quant_batch(&slots, k, sigma));
             start = end;
         }
-        let batch_ms = ms(t);
+        times[round % widths.len()].push(ms(t));
         let stats: Vec<ScreenStats> = batched.iter().map(|(_, s)| *s).collect();
         identical &= batched.len() == n && batched.iter().zip(oracle).all(|((h, _), o)| h == o);
         identical &= *width1_stats.get_or_insert_with(|| stats.clone()) == stats;
-        widths.push(BatchedWidth { width, batch_ms });
     }
+    let widths = widths
+        .iter()
+        .zip(times)
+        .map(|(&width, times)| {
+            let fastest = times.iter().copied().fold(f64::INFINITY, f64::min);
+            let slowest = times.iter().copied().fold(0.0, f64::max);
+            BatchedWidth {
+                width,
+                batch_ms: fastest,
+                spread: slowest / fastest,
+            }
+        })
+        .collect();
     BatchedTiming {
         queries: n,
         docs: vecs.len(),
         kernel: semvec::screen_kernel(),
+        reps,
         widths,
         identical,
     }
@@ -533,11 +562,12 @@ fn json_report(
             format!(
                 concat!(
                     "    {{\"width\": {}, \"batch_ms\": {:.1}, \"ns_per_pair\": {:.2}, ",
-                    "\"speedup\": {:.2}}}"
+                    "\"spread\": {:.2}, \"speedup\": {:.2}}}"
                 ),
                 w.width,
                 w.batch_ms,
                 batched.ns_per_pair(w.batch_ms),
+                w.spread,
                 width1_ms / w.batch_ms,
             )
         })
@@ -619,7 +649,7 @@ fn json_report(
             "\"build_threads_used\": {}, \"serial_ms\": {:.1}, ",
             "\"parallel_ms\": {:.1}, \"speedup\": {:.2}, \"identical\": true}},\n",
             "  \"batched\": {{\"queries\": {}, \"docs\": {}, \"k\": {}, \"sigma\": {:.2}, ",
-            "\"kernel\": \"{}\", \"identical\": {}, \"widths\": [\n",
+            "\"kernel\": \"{}\", \"reps\": {}, \"identical\": {}, \"widths\": [\n",
             "{}\n",
             "  ]}},\n",
             "  \"scaling\": {{\"k\": {}, \"sigma\": {:.2}, \"build_samples\": {}, \"rows\": [\n",
@@ -650,6 +680,7 @@ fn json_report(
         k,
         sigma,
         batched.kernel,
+        batched.reps,
         batched.identical,
         width_json.join(",\n"),
         k,
@@ -691,7 +722,8 @@ fn main() {
         exp.cfg.top_k,
         exp.cfg.retrieval_jitter,
     );
-    let batched = bench_batched(&exp, &base, self_queries, &oracle);
+    let reps = if smoke { 1 } else { BATCHED_REPS };
+    let batched = bench_batched(&exp, &base, self_queries, &oracle, reps);
     if !batched.identical {
         eprintln!(
             "perf violation: the batched scan diverged from the oracle (or \

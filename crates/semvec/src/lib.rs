@@ -12,10 +12,11 @@
 //! * [`embed`] — the encoder (ℝ^256, signed feature hashing, L2-norm);
 //! * [`index`] — hits, bounded top-k selection, the retrieval jitter,
 //!   and the naive reference oracle [`reference_top_k`];
-//! * [`quant`] — int8 scalar quantization, the screen's two leaves
-//!   (16-row group dots, 16-candidate scores) with their AVX-512, AVX2
-//!   and portable bodies, and the per-pair error bound behind the
-//!   two-stage scan;
+//! * [`quant`] — int8 scalar quantization into a block layout (16-row
+//!   groups of 64-byte chunks), the screen's two leaves (16-row group
+//!   dots, 16-candidate scores) with their AVX-512, AVX2 and portable
+//!   bodies, and the residual-norm error bound behind the two-stage
+//!   scan;
 //! * [`seg`] — the engine: f32 rows in fixed-size segments with
 //!   per-segment int8 shadows, and its one scan — a batched int8 screen
 //!   with an exact f32 rerank — bit-identical to [`reference_top_k`];
@@ -35,7 +36,9 @@ pub mod verbalize;
 pub use embed::{cosine, dot, l2_normalize, EmbedConfig, Embedder, QueryStyle, Vector};
 pub use idf::IdfModel;
 pub use index::{jitter, reference_top_k, Hit, NoisyQuery, TopK};
-pub use quant::{pair_error_bound, quantize_block, screen_kernel, QuantQuery, ScreenStats};
+pub use quant::{
+    pair_error_bound, quantize_block, screen_kernel, QuantBlock, QuantQuery, ScreenStats,
+};
 pub use seg::{
     build_chunk_ranges, resolve_build_threads, SegmentedIndex, PARALLEL_BUILD_MIN_DOCS,
     SEG_ROWS_DEFAULT,

@@ -2,21 +2,35 @@
 //!
 //! The scoring hot loop of retrieval is a dot product per (query,
 //! document) pair. Each segment of [`crate::SegmentedIndex`] keeps,
-//! next to its flat f32 rows, a flat `Vec<i8>` holding the same rows
+//! next to its flat f32 rows, an int8 shadow of the same rows
 //! symmetrically quantized against the segment's own scale
 //! ([`quantize_block`]), so the screening pass reads one byte per
-//! component. The scan walks each segment in groups of sixteen rows
-//! and calls two runtime-dispatched leaves ([`screen_kernel`] names the
-//! family this host runs):
+//! component.
+//!
+//! **Block layout.** The shadow is stored in groups of [`GROUP`] (16)
+//! rows: group `g` holds rows `16g..16g+15`, and is a run of 64-byte
+//! chunks, chunk `c` holding each row's components `4c..4c+3`, row
+//! after row. Components past `dim` and rows past the segment's end are
+//! zero bytes, so a group is always `⌈dim/4⌉·64` bytes (at `dim % 4 ==
+//! 0` with whole groups, exactly the row-major byte count). One chunk
+//! is one 512-bit load that carries four components of all sixteen
+//! rows, so a query's four matching bytes, broadcast, meet all sixteen
+//! rows in one multiply-add and the sixteen dots land in sixteen lanes
+//! with nothing to reduce.
+//!
+//! The scan walks each segment group by group and calls two
+//! runtime-dispatched leaves ([`screen_kernel`] names the family this
+//! host runs):
 //!
 //! * **Group dots** (`Screen::group`): every query of the batch against
 //!   the group's rows, each exact integer dot compared with the query's
 //!   integer pre-threshold (`pre_threshold`), and the (id, dot) of every
 //!   pair at or above it appended to the query's candidate buffer
-//!   (`Cands`). The AVX-512 VNNI body accumulates sixteen rows at once
-//!   with `vpdpbusd` and reduces them with one transpose-add tree into
-//!   a zmm of sixteen dots; the AVX2 body is a register tile of one to
-//!   four queries; the portable body runs `dot_i8_body` per pair.
+//!   (`Cands`). The AVX-512 VNNI body loads and flips each chunk once
+//!   for a tile of up to eight queries and runs one `vpdpbusd` per
+//!   query; the AVX2 body runs `vpsignb`/`vpmaddubsw`/`vpmaddwd` on the
+//!   chunk's two 32-byte halves for a tile of up to four; the portable
+//!   body keeps sixteen i32 sums per query.
 //! * **Candidate scores** (`score_candidates`): up to sixteen packed
 //!   candidates of one query at once — the dequantized dot plus the
 //!   pair's retrieval jitter, tested against the query's margin. On
@@ -39,62 +53,74 @@
 //! top-k — ids, scores, and tie-break order — is bit-identical to
 //! scoring every document in exact f32.
 //!
-//! **Error-bound derivation.** Write a vector `x` and its dequantized
-//! form `x̂ = s·q` (scale `s`, int8 row `q`). Rounding gives a
-//! per-component error of at most `s/2`, so `‖x − x̂‖₂ ≤ (s/2)·√d`.
-//! For a query `x` (scale `s_q`) against a stored row `y` (index scale
-//! `s_y`):
+//! **Error-bound derivation.** Write a vector `x`, its int8 row `q` and
+//! its f32 scale `s`, and its dequantized form `x̂ = s·q` in real
+//! arithmetic. For a query `x` against a stored row `y` of a segment:
 //!
 //! ```text
-//! |x·y − x̂·ŷ| = |(x − x̂)·y + x̂·(y − ŷ)|
-//!             ≤ ‖x − x̂‖·‖y‖ + ‖x̂‖·‖y − ŷ‖
-//!             ≤ e_q·max‖y‖ + (‖x‖ + e_q)·e_y
+//! x·y − x̂·ŷ = (x − x̂)·y + x̂·(y − ŷ)
+//! |x·y − x̂·ŷ| ≤ ‖x − x̂‖·M + ‖x̂‖·R
 //! ```
 //!
-//! with `e_q = (s_q/2)·√d` and `e_y = (s_y/2)·√d`. The bound is
-//! computed in f64 and padded (relative 1e-3, absolute 1e-4) so that
-//! the f32 rounding of the exact dot, of the scale multiply, and of the
-//! quantization divides is covered with orders of magnitude to spare —
-//! padding can only *widen* the rerank margin, never break exactness.
-//! Property tests assert the padded bound is never violated.
+//! with `M` the segment's largest row norm `‖y‖` and `R` its largest
+//! row residual `‖y − ŷ‖`. The quantizer records both per segment, and
+//! [`QuantQuery`] computes `‖x − x̂‖` and `‖x̂‖` from the query's actual
+//! int8 row, all in f64, so the bound assumes nothing about how a byte
+//! was rounded. Each residual is at most `(s/2)·√d` (up to the f32
+//! rounding of `x/s`), so this is never looser than the worst case
+//! `(s_x/2)·√d·M + (‖x‖ + (s_x/2)·√d)·(s_y/2)·√d`.
+//!
+//! Both scores the scan compares are rounded, and the residual terms
+//! can be 0 (a row on the quantization grid) while the scores still
+//! round. With `u = 2⁻²⁴`: the exact f32 dot (`embed::dot`: eight lanes
+//! of `⌊d/8⌋` products, a three-level pairwise sum, then up to seven
+//! tail products) is within `(⌊d/8⌋ + 3 + d mod 8)·u·Σ|xᵢyᵢ|` of `x·y`;
+//! the quantized score `fl(fl(dot)·fl(s_x·s_y))` is within `2u·|x̂·ŷ|`
+//! of `x̂·ŷ` (`fl(dot)` is exact below 2²⁴); and the scan adds the jitter
+//! to each with one more rounding. With `Σ|xᵢyᵢ| ≤ ‖x‖·M`, that is at
+//! most `(⌈d/8⌉ + 13)·u·‖x‖·M`, which `γ·‖x‖·M` with
+//! `γ = (⌈d/8⌉ + 6)·2⁻²³` covers for every `d ≥ 1`. The bound
+//!
+//! ```text
+//! B = (‖x − x̂‖·M + ‖x̂‖·R + γ·‖x‖·M)·(1 + 10⁻³) + 10⁻⁴
+//! ```
+//!
+//! pads the rest: the relative 10⁻³ covers the f64 evaluation of the
+//! norms, their f32 storage, the quantized score's rounding beyond
+//! `‖x‖·M` (it is relative to `‖x̂‖·‖ŷ‖ ≤ (‖x‖ + ‖x − x̂‖)·(M + R)`) and
+//! every second-order term; the absolute 10⁻⁴ covers the jitter's own
+//! share of the two jitter additions (`2u·jmax`). Padding can only
+//! *widen* the rerank margin, never break exactness. Property tests
+//! assert the bound on random, on-grid, zero and one-hot inputs with
+//! norms up to 10³.
 
 use crate::index::jitter;
 
-/// How many i32 accumulator lanes the integer kernel carries. Sixteen
-/// independent sums of i16 products autovectorize to widening
-/// multiply-add on any SIMD target; any i8·i8 product fits i16
-/// (|−128·−128| = 16384 < 2¹⁵) and an i32 lane overflows only past
-/// ~10⁶ dimensions — far beyond any embedding here.
-const I8_LANES: usize = 16;
+/// Rows per screening group: a chunk carries four components of sixteen
+/// rows in one 512-bit register, and candidates are scored sixteen at a
+/// time.
+pub(crate) const GROUP: usize = 16;
 
-/// The integer dot of one query row and one document row: the
-/// per-pair body of the portable group leaf. Any i8·i8 product fits
-/// i16, and the lane sums are exact integers, so it equals the naive
-/// i32 loop to the bit.
+/// Components of one row in one chunk of the block layout: the four
+/// bytes a `vpdpbusd` lane multiplies and sums.
+const CHUNK_DIMS: usize = 4;
+
+/// Bytes of one chunk of the block layout: [`CHUNK_DIMS`] components of
+/// each of the [`GROUP`] rows.
+const CHUNK_BYTES: usize = GROUP * CHUNK_DIMS;
+
+/// Chunks per group at `dim`: each row's components zero-padded to a
+/// multiple of [`CHUNK_DIMS`].
 #[inline]
-fn dot_i8_body(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    let split = a.len() - a.len() % I8_LANES;
-    let mut acc = [0i32; I8_LANES];
-    for (ca, cb) in a[..split]
-        .chunks_exact(I8_LANES)
-        .zip(b[..split].chunks_exact(I8_LANES))
-    {
-        for j in 0..I8_LANES {
-            acc[j] += (ca[j] as i16 * cb[j] as i16) as i32;
-        }
-    }
-    let mut sum: i32 = acc.iter().sum();
-    for (x, y) in a[split..].iter().zip(&b[split..]) {
-        sum += *x as i32 * *y as i32;
-    }
-    sum
+fn chunks(dim: usize) -> usize {
+    dim.div_ceil(CHUNK_DIMS)
 }
 
-/// Rows per screening group: the AVX-512 leaf reduces sixteen row
-/// accumulators into one zmm of sixteen i32 dots, and candidates are
-/// scored sixteen at a time.
-pub(crate) const GROUP: usize = 16;
+/// Bytes of one group of the block layout at `dim`.
+#[inline]
+pub(crate) fn group_bytes(dim: usize) -> usize {
+    chunks(dim) * CHUNK_BYTES
+}
 
 /// The leaf family a screen dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +128,7 @@ pub(crate) enum Kernel {
     /// AVX-512 VNNI group dots and AVX-512 candidate scores
     /// (`avx512bw`, `avx512dq` and `avx512vnni`).
     Avx512Vnni,
-    /// The AVX2 register tile for group dots; scalar candidate scores.
+    /// AVX2 group dots; scalar candidate scores.
     Avx2,
     /// Portable group dots and scalar candidate scores.
     Portable,
@@ -311,94 +337,107 @@ pub(crate) fn pre_threshold(factor: f32, jmax: f32, margin: f64, dim: usize) -> 
     hi as i32
 }
 
-/// How many queries one register tile of the AVX2 group leaf carries
-/// at most. Four ymm accumulators (one per query) plus the two widened
-/// halves of the shared row load and a pmaddwd temporary stay
-/// comfortably inside the sixteen AVX2 vector registers, so each row
-/// chunk is multiplied into four queries before it leaves them.
+/// How many queries one register tile of the AVX-512 group leaf
+/// carries at most: eight zmm accumulators next to the shared chunk and
+/// its flipped copy.
 #[cfg(target_arch = "x86_64")]
-const QUERY_TILE: usize = 4;
+const AVX512_TILE: usize = 8;
 
-/// Width of the explicit AVX2 inner step: one 256-bit row load, widened
-/// to two ymm of i16 lanes for the pmaddwd multiply-adds.
+/// How many queries one register tile of the AVX2 group leaf carries at
+/// most: two ymm accumulators per query (rows 0–7 and 8–15) next to the
+/// chunk's two halves, the query's bytes and their magnitudes, and the
+/// `vpmaddwd` ones stay inside the sixteen ymm registers.
 #[cfg(target_arch = "x86_64")]
-const AVX2_CHUNK: usize = 32;
+const AVX2_TILE: usize = 4;
 
-/// The queries of one batched screen, prepared once per scan for the
-/// leaf family it dispatches to.
-pub(crate) struct Screen<'a> {
+/// The queries of one batched screen, prepared once per scan: each
+/// query's bytes zero-padded to a whole number of chunks, four to a
+/// little-endian i32 word, so a leaf broadcasts one word per chunk.
+pub(crate) struct Screen {
     kernel: Kernel,
-    dim: usize,
-    queries: Vec<&'a [i8]>,
-    /// AVX2: every query's first `dim − dim % 32` elements
-    /// sign-extended to i16, query after query.
-    wide: Vec<i16>,
-    /// AVX-512: every query's `128·Σq`, the offset its unsigned-row
-    /// dots carry.
+    chunks: usize,
+    width: usize,
+    /// Every query's words, query after query.
+    words: Vec<i32>,
+    /// AVX2: every word with each byte replaced by its magnitude, the
+    /// unsigned operand of `vpmaddubsw`.
+    abs_words: Vec<i32>,
+    /// AVX-512: every query's `128·Σq`, the offset its dots carry when
+    /// the rows are flipped to unsigned.
     bias: Vec<i32>,
 }
 
-impl<'a> Screen<'a> {
-    /// Prepare `queries` (each `dim` long) for `kernel`'s group leaf.
-    pub(crate) fn new(kernel: Kernel, queries: Vec<&'a [i8]>, dim: usize) -> Self {
+impl Screen {
+    /// Prepare `queries` (each `dim` bytes in ±127, the quantizer's
+    /// range) for `kernel`'s group leaf.
+    pub(crate) fn new(kernel: Kernel, queries: &[&[i8]], dim: usize) -> Self {
         assert!(dim > 0, "rows need at least one component");
         assert!(
             dot_limit(dim) < i32::MAX as i64,
             "dim {dim} overflows the i32 dots"
         );
-        for q in &queries {
+        let chunks = chunks(dim);
+        let mut words = Vec::with_capacity(queries.len() * chunks);
+        for q in queries {
             assert_eq!(q.len(), dim, "dimension mismatch");
+            assert!(q.iter().all(|&x| x != i8::MIN), "query bytes are ±127");
+            words.extend(q.chunks(CHUNK_DIMS).map(|c| {
+                let mut b = [0u8; CHUNK_DIMS];
+                for (b, &x) in b.iter_mut().zip(c) {
+                    *b = x as u8;
+                }
+                i32::from_le_bytes(b)
+            }));
         }
-        let mut wide = Vec::new();
+        let mut abs_words = Vec::new();
         let mut bias = Vec::new();
         match kernel {
             Kernel::Avx512Vnni => {
+                // Wrapping, as the lanes it is subtracted from wrap: the
+                // dots themselves fit i32 (`127²·dim < 2³¹`).
                 bias = queries
                     .iter()
                     .map(|q| q.iter().map(|&x| x as i32).sum::<i32>().wrapping_mul(128))
                     .collect();
             }
-            #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => {
-                let split = dim - dim % AVX2_CHUNK;
-                wide.reserve(queries.len() * split);
-                for q in &queries {
-                    wide.extend(q[..split].iter().map(|&x| x as i16));
-                }
+                abs_words = words
+                    .iter()
+                    .map(|w| i32::from_le_bytes(w.to_le_bytes().map(|b| (b as i8).unsigned_abs())))
+                    .collect();
             }
-            _ => {}
+            Kernel::Portable => {}
         }
         Self {
             kernel,
-            dim,
-            queries,
-            wide,
+            chunks,
+            width: queries.len(),
+            words,
+            abs_words,
             bias,
         }
     }
 
-    /// Group dots: every query against `rows` (one to [`GROUP`] rows of
-    /// the segment's int8 shadow, the first with global id `base`), and
-    /// for query `q` the (id, dot) of every row whose dot is at least
-    /// `thresholds[q]` appended to `cands[q]` in row order. Every
+    /// Group dots: every query against one group of the block layout
+    /// (`block`, [`group_bytes`] long, whose first `n_rows` rows — one
+    /// to [`GROUP`] — are live, the first with global id `base`), and
+    /// for query `q` the (id, dot) of every live row whose dot is at
+    /// least `thresholds[q]` appended to `cands[q]` in row order. Every
     /// `cands[q]` must hold at most [`GROUP`] candidates.
-    pub(crate) fn group(&self, rows: &[i8], base: u32, thresholds: &[i32], cands: &mut [Cands]) {
-        let n = self.queries.len();
-        assert!(thresholds.len() == n && cands.len() == n);
-        // Every group but a segment's last is full: no division there.
-        let n_rows = if rows.len() == GROUP * self.dim {
-            GROUP
-        } else {
-            rows.len() / self.dim
-        };
-        assert!(n_rows <= GROUP && n_rows * self.dim == rows.len());
+    pub(crate) fn group(
+        &self,
+        block: &[i8],
+        n_rows: usize,
+        base: u32,
+        thresholds: &[i32],
+        cands: &mut [Cands],
+    ) {
+        assert!(thresholds.len() == self.width && cands.len() == self.width);
+        assert!((1..=GROUP).contains(&n_rows) && block.len() == self.chunks * CHUNK_BYTES);
         assert!(
             cands.iter().all(|c| c.len <= GROUP),
             "drain before appending"
         );
-        if n_rows == 0 || n == 0 {
-            return;
-        }
         #[cfg(target_arch = "x86_64")]
         {
             if self.kernel == Kernel::Avx512Vnni
@@ -406,159 +445,262 @@ impl<'a> Screen<'a> {
                 && std::arch::is_x86_feature_detected!("avx512vnni")
             {
                 // SAFETY: both features were just verified at runtime;
-                // the asserts above give every `cands[q]` room for
-                // GROUP more entries and one to GROUP whole rows.
-                unsafe { self.group_avx512(rows, n_rows, base, thresholds, cands) };
+                // the asserts above give a whole group and every
+                // `cands[q]` room for GROUP more entries.
+                unsafe { self.group_avx512(block, n_rows, base, thresholds, cands) };
                 return;
             }
             if self.kernel == Kernel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the avx2 feature was just verified at runtime.
-                unsafe { self.group_avx2(rows, n_rows, base, thresholds, cands) };
+                // SAFETY: the avx2 feature was just verified at runtime;
+                // the asserts above give a whole group.
+                unsafe { self.group_avx2(block, n_rows, base, thresholds, cands) };
                 return;
             }
         }
-        self.group_portable(rows, n_rows, base, thresholds, cands);
+        self.group_portable(block, n_rows, base, thresholds, cands);
     }
 
-    /// The portable group leaf: [`dot_i8_body`] per pair.
+    /// The portable group leaf: per query, sixteen i32 sums, each
+    /// chunk's 64 products added row by row.
     fn group_portable(
         &self,
-        rows: &[i8],
+        block: &[i8],
         n_rows: usize,
         base: u32,
         thresholds: &[i32],
         cands: &mut [Cands],
     ) {
-        let mut dots = [0i32; GROUP];
-        for ((q, &t), c) in self.queries.iter().zip(thresholds).zip(cands) {
-            for (r, d) in dots[..n_rows].iter_mut().enumerate() {
-                *d = dot_i8_body(q, &rows[r * self.dim..(r + 1) * self.dim]);
+        let queries = self.words.chunks_exact(self.chunks);
+        for ((words, &t), c) in queries.zip(thresholds).zip(cands) {
+            let mut dots = [0i32; GROUP];
+            for (chunk, w) in block.chunks_exact(CHUNK_BYTES).zip(words) {
+                let q = w.to_le_bytes().map(|b| b as i8 as i32);
+                for (d, r) in dots.iter_mut().zip(chunk.chunks_exact(CHUNK_DIMS)) {
+                    *d += r[0] as i32 * q[0]
+                        + r[1] as i32 * q[1]
+                        + r[2] as i32 * q[2]
+                        + r[3] as i32 * q[3];
+                }
             }
             c.append_passing(&dots[..n_rows], base, t);
         }
     }
 
     /// The AVX2 group leaf: the queries in full register tiles of
-    /// [`QUERY_TILE`] and one narrower tile for the 1–3 left over, all
-    /// through [`dot_i8_tile_avx2`], each query's dots then compared
+    /// [`AVX2_TILE`] and one narrower tile for the 1–3 left over, all
+    /// through [`Screen::tile_avx2`], each query's dots then compared
     /// with its threshold lane by lane.
     ///
     /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
+    /// Caller must have verified AVX2 support at runtime and that
+    /// `block` is one whole group.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn group_avx2(
         &self,
-        rows: &[i8],
+        block: &[i8],
         n_rows: usize,
         base: u32,
         thresholds: &[i32],
         cands: &mut [Cands],
     ) {
-        let dim = self.dim;
-        let split = dim - dim % AVX2_CHUNK;
-        let mut dots = [[0i32; GROUP]; QUERY_TILE];
-        let mut g = 0;
-        while g < self.queries.len() {
-            let t = (self.queries.len() - g).min(QUERY_TILE);
-            let w = &self.wide[g * split..(g + t) * split];
-            let qs = &self.queries[g..g + t];
-            // SAFETY: AVX2 verified by the dispatcher; split is a
-            // multiple of AVX2_CHUNK no longer than dim, and `rows`
-            // holds at most GROUP rows.
+        let mut dots = [[0i32; GROUP]; AVX2_TILE];
+        let mut q0 = 0;
+        while q0 < self.width {
+            let t = (self.width - q0).min(AVX2_TILE);
+            // SAFETY: AVX2 is enabled here; `block` is one whole group
+            // and queries q0..q0 + t exist.
             unsafe {
                 match t {
-                    1 => dot_i8_tile_avx2::<1>(w, qs, rows, dim, split, &mut dots),
-                    2 => dot_i8_tile_avx2::<2>(w, qs, rows, dim, split, &mut dots),
-                    3 => dot_i8_tile_avx2::<3>(w, qs, rows, dim, split, &mut dots),
-                    _ => dot_i8_tile_avx2::<QUERY_TILE>(w, qs, rows, dim, split, &mut dots),
+                    1 => self.tile_avx2::<1>(block, q0, &mut dots),
+                    2 => self.tile_avx2::<2>(block, q0, &mut dots),
+                    3 => self.tile_avx2::<3>(block, q0, &mut dots),
+                    _ => self.tile_avx2::<AVX2_TILE>(block, q0, &mut dots),
                 }
             }
             for (i, d) in dots[..t].iter().enumerate() {
-                cands[g + i].append_passing(&d[..n_rows], base, thresholds[g + i]);
+                cands[q0 + i].append_passing(&d[..n_rows], base, thresholds[q0 + i]);
             }
-            g += t;
+            q0 += t;
         }
     }
 
-    /// The AVX-512 VNNI group leaf, one query at a time against all
-    /// rows of the group. Each row's 64-byte chunks run `vpdpbusd` with
-    /// the row flipped to unsigned (`r ^ 0x80`, that is `r + 128`) and
-    /// the query as the signed operand, so a row's accumulator sums to
-    /// `Σ r·q + 128·Σq`; the sixteen accumulators are reduced by
-    /// [`reduce16_avx512`] into one zmm of dots and the query's
-    /// `128·Σq` subtracted. `dim % 64` is covered by masked loads (zero
-    /// bytes contribute `128·0`), and the lanes of a last group of fewer
-    /// than sixteen rows re-read its first row and are masked out, so
-    /// no byte beyond `rows` is read. The lanes at or above the query's
-    /// threshold are compressed into its candidate buffer. All integer
-    /// arithmetic, so each dot equals the naive i32 loop's.
+    /// The AVX2 register tile: queries `q0..q0 + T` against one group,
+    /// row `r`'s dot with query `q0 + t` written to `out[t][r]`. Each
+    /// chunk is loaded as two 32-byte halves (rows 0–7, rows 8–15); per
+    /// query, `vpsignb` gives each row byte the sign of the query byte
+    /// it meets, `vpmaddubsw` multiplies by the query byte's magnitude
+    /// and sums pairs to i16, and `vpmaddwd` by ones sums those pairs to
+    /// one i32 per row — eight row sums per register, nothing to reduce.
+    /// With every byte in ±127 a pair sum is at most 2·127² = 32,258, so
+    /// `vpmaddubsw` never saturates and the dots are exact.
+    ///
+    /// # Safety
+    /// Requires AVX2, `block` one whole group, and `q0 + T ≤ width`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile_avx2<const T: usize>(
+        &self,
+        block: &[i8],
+        q0: usize,
+        out: &mut [[i32; GROUP]; AVX2_TILE],
+    ) {
+        use std::arch::x86_64::*;
+        let chunks = self.chunks;
+        let words = self.words[q0 * chunks..(q0 + T) * chunks].as_ptr();
+        let abs_words = self.abs_words[q0 * chunks..(q0 + T) * chunks].as_ptr();
+        let ones = _mm256_set1_epi16(1);
+        let mut lo = [_mm256_setzero_si256(); T];
+        let mut hi = [_mm256_setzero_si256(); T];
+        // SAFETY: AVX2 is enabled; the loads read chunk c < chunks of a
+        // whole group (chunks·64 bytes), and the word reads index
+        // t·chunks + c < T·chunks of the slices taken above.
+        unsafe {
+            for c in 0..chunks {
+                let p = block.as_ptr().add(c * CHUNK_BYTES);
+                let rlo = _mm256_loadu_si256(p as *const __m256i);
+                let rhi = _mm256_loadu_si256(p.add(32) as *const __m256i);
+                for t in 0..T {
+                    let q = _mm256_set1_epi32(*words.add(t * chunks + c));
+                    let qa = _mm256_set1_epi32(*abs_words.add(t * chunks + c));
+                    let l = _mm256_maddubs_epi16(qa, _mm256_sign_epi8(rlo, q));
+                    let h = _mm256_maddubs_epi16(qa, _mm256_sign_epi8(rhi, q));
+                    lo[t] = _mm256_add_epi32(lo[t], _mm256_madd_epi16(l, ones));
+                    hi[t] = _mm256_add_epi32(hi[t], _mm256_madd_epi16(h, ones));
+                }
+            }
+            for t in 0..T {
+                let o = out[t].as_mut_ptr();
+                _mm256_storeu_si256(o as *mut __m256i, lo[t]);
+                _mm256_storeu_si256(o.add(8) as *mut __m256i, hi[t]);
+            }
+        }
+    }
+
+    /// The AVX-512 VNNI group leaf: the queries in register tiles of up
+    /// to [`AVX512_TILE`] through [`Screen::tile_avx512`].
     ///
     /// # Safety
     /// Caller must have verified `avx512bw` and `avx512vnni` at runtime,
-    /// `rows` must hold `n_rows` (one to [`GROUP`]) whole rows, and every
-    /// `cands[q]` at most [`GROUP`] candidates.
+    /// `block` must be one whole group with `n_rows` (one to [`GROUP`])
+    /// live rows, and every `cands[q]` hold at most [`GROUP`]
+    /// candidates.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512bw,avx512vnni")]
     unsafe fn group_avx512(
         &self,
-        rows: &[i8],
+        block: &[i8],
         n_rows: usize,
         base: u32,
         thresholds: &[i32],
         cands: &mut [Cands],
     ) {
-        use std::arch::x86_64::*;
-        let dim = self.dim;
-        let lanes = ((1u32 << n_rows) - 1) as __mmask16;
-        let row0 = rows.as_ptr();
-        let starts: [*const i8; GROUP] = std::array::from_fn(|r| {
-            if r < n_rows {
-                // SAFETY: row r < n_rows starts inside `rows`.
-                unsafe { row0.add(r * dim) }
-            } else {
-                row0
+        let mut q0 = 0;
+        while q0 < self.width {
+            let t = (self.width - q0).min(AVX512_TILE);
+            let (th, cs) = (&thresholds[q0..q0 + t], &mut cands[q0..q0 + t]);
+            // SAFETY: both features are enabled here; the contract above
+            // carries over to queries q0..q0 + t.
+            unsafe {
+                match t {
+                    1 => self.tile_avx512::<1, 4>(block, n_rows, base, q0, th, cs),
+                    2 => self.tile_avx512::<2, 2>(block, n_rows, base, q0, th, cs),
+                    3 => self.tile_avx512::<3, 2>(block, n_rows, base, q0, th, cs),
+                    4 => self.tile_avx512::<4, 2>(block, n_rows, base, q0, th, cs),
+                    5 => self.tile_avx512::<5, 1>(block, n_rows, base, q0, th, cs),
+                    6 => self.tile_avx512::<6, 1>(block, n_rows, base, q0, th, cs),
+                    7 => self.tile_avx512::<7, 1>(block, n_rows, base, q0, th, cs),
+                    _ => self.tile_avx512::<AVX512_TILE, 1>(block, n_rows, base, q0, th, cs),
+                }
             }
-        });
-        let full = dim / 64;
-        let tail = (1u64 << (dim % 64)) - 1;
+            q0 += t;
+        }
+    }
+
+    /// The AVX-512 VNNI register tile: queries `q0..q0 + T` against one
+    /// group. Each 64-byte chunk is loaded once and flipped to unsigned
+    /// once (`r ^ 0x80`, that is `r + 128`) for the whole tile, then
+    /// per query one `vpdpbusd` with the query's four bytes broadcast as
+    /// the signed operand adds row `r`'s four products to lane `r`. A
+    /// lane sums to `Σ r·q + 128·Σq` (zero bytes past `dim` meet zero
+    /// query bytes), so subtracting the query's `128·Σq` leaves the
+    /// sixteen exact dots in one zmm. The lanes of rows past `n_rows`
+    /// are masked out; the live lanes at or above the query's threshold
+    /// are compressed into its candidate buffer.
+    ///
+    /// A `vpdpbusd` waits for the accumulator it adds to, so each query
+    /// sums `U` chunks at a time into `U` accumulators, added at the
+    /// end: a narrow tile (`T·U` chains of at least four) keeps the
+    /// multiply-adds back to back instead of one latency apart.
+    ///
+    /// # Safety
+    /// As [`Screen::group_avx512`], for queries `q0..q0 + T`, with
+    /// `thresholds` and `cands` holding exactly those `T` queries'.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512bw,avx512vnni")]
+    #[inline]
+    unsafe fn tile_avx512<const T: usize, const U: usize>(
+        &self,
+        block: &[i8],
+        n_rows: usize,
+        base: u32,
+        q0: usize,
+        thresholds: &[i32],
+        cands: &mut [Cands],
+    ) {
+        use std::arch::x86_64::*;
+        let chunks = self.chunks;
+        let words = self.words[q0 * chunks..(q0 + T) * chunks].as_ptr();
         let flip = _mm512_set1_epi8(i8::MIN);
+        let mut acc = [[_mm512_setzero_si512(); T]; U];
+        // Chunk c into accumulator set u: its load, flip and T
+        // multiply-adds.
+        let step = |acc: &mut [__m512i; T], c: usize| {
+            // SAFETY: avx512bw and avx512vnni are enabled; the load
+            // reads chunk c < chunks of a whole group (chunks·64 bytes),
+            // and the word reads index t·chunks + c < T·chunks of the
+            // slice above.
+            unsafe {
+                let rows =
+                    _mm512_loadu_si512(block.as_ptr().add(c * CHUNK_BYTES) as *const __m512i);
+                let rows = _mm512_xor_si512(rows, flip);
+                for (t, a) in acc.iter_mut().enumerate() {
+                    let q = _mm512_set1_epi32(*words.add(t * chunks + c));
+                    *a = _mm512_dpbusd_epi32(*a, rows, q);
+                }
+            }
+        };
+        let whole = chunks - chunks % U;
+        for c in (0..whole).step_by(U) {
+            for (u, a) in acc.iter_mut().enumerate() {
+                step(a, c + u);
+            }
+        }
+        for c in whole..chunks {
+            step(&mut acc[0], c);
+        }
+        let acc: [__m512i; T] = std::array::from_fn(|t| {
+            acc.iter()
+                .fold(_mm512_setzero_si512(), |s, a| _mm512_add_epi32(s, a[t]))
+        });
+        let lanes = ((1u32 << n_rows) - 1) as __mmask16;
         let ids = _mm512_add_epi32(
             _mm512_set1_epi32(base as i32),
             _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
         );
-        for (((q, &bias), &t), c) in self
-            .queries
+        for (((a, &bias), &t), c) in acc
             .iter()
-            .zip(&self.bias)
+            .zip(&self.bias[q0..q0 + T])
             .zip(thresholds)
             .zip(cands.iter_mut())
         {
-            let mut acc = [_mm512_setzero_si512(); GROUP];
-            // SAFETY: every load reads 64 bytes at chunk offsets below
-            // `full·64 ≤ dim` of a query or a row inside `rows`, or is
-            // masked to the `dim % 64` bytes left; the stores write 16
-            // lanes at `c.len ≤ GROUP` of 2·GROUP-lane arrays.
+            let dots = _mm512_sub_epi32(*a, _mm512_set1_epi32(bias));
+            let pass = _mm512_mask_cmpge_epi32_mask(lanes, dots, _mm512_set1_epi32(t));
+            let at = c.len;
+            // SAFETY: the stores write 16 lanes at `at ≤ GROUP` of
+            // 2·GROUP-lane arrays.
             unsafe {
-                for ch in 0..full {
-                    let off = ch * 64;
-                    let qv = _mm512_loadu_si512(q.as_ptr().add(off) as *const __m512i);
-                    for (a, &p) in acc.iter_mut().zip(&starts) {
-                        let rv = _mm512_loadu_si512(p.add(off) as *const __m512i);
-                        *a = _mm512_dpbusd_epi32(*a, _mm512_xor_si512(rv, flip), qv);
-                    }
-                }
-                if tail != 0 {
-                    let off = full * 64;
-                    let qv = _mm512_maskz_loadu_epi8(tail, q.as_ptr().add(off));
-                    for (a, &p) in acc.iter_mut().zip(&starts) {
-                        let rv = _mm512_maskz_loadu_epi8(tail, p.add(off));
-                        *a = _mm512_dpbusd_epi32(*a, _mm512_xor_si512(rv, flip), qv);
-                    }
-                }
-                let dots = _mm512_sub_epi32(reduce16_avx512(&acc), _mm512_set1_epi32(bias));
-                let pass = _mm512_mask_cmpge_epi32_mask(lanes, dots, _mm512_set1_epi32(t));
-                let at = c.len;
                 _mm512_storeu_si512(
                     c.ids.as_mut_ptr().add(at) as *mut __m512i,
                     _mm512_maskz_compress_epi32(pass, ids),
@@ -567,113 +709,9 @@ impl<'a> Screen<'a> {
                     c.dots.as_mut_ptr().add(at) as *mut __m512i,
                     _mm512_maskz_compress_epi32(pass, dots),
                 );
-                c.len = at + pass.count_ones() as usize;
             }
+            c.len = at + pass.count_ones() as usize;
         }
-    }
-}
-
-/// The register tile of the AVX2 group leaf: `T` queries (1 to
-/// [`QUERY_TILE`]) against every row of one group, row `r`'s dot with
-/// query `t` written to `out[t][r]`. `wide` holds the `T` queries'
-/// first `split` elements sign-extended to i16, query after query. Each
-/// 32-byte row chunk is loaded and sign-extended once, then
-/// multiply-added (pmaddwd) into one i32 ymm accumulator per query; the
-/// `dim % 32` tail is scalar. Every product and sum is exact integer
-/// arithmetic (any i8·i8 pair sum fits i32 with room to spare: two
-/// products ≤ 2·2¹⁴ per pmaddwd lane, and a lane accumulates dim/2 of
-/// them), so the dots equal [`dot_i8_body`]'s bit for bit at every `T`
-/// — only the association of the additions differs, which integers
-/// cannot observe.
-///
-/// # Safety
-/// Requires AVX2 (caller dispatches), `split % AVX2_CHUNK == 0`,
-/// `split <= dim` and at most [`GROUP`] rows.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn dot_i8_tile_avx2<const T: usize>(
-    wide: &[i16],
-    queries: &[&[i8]],
-    rows: &[i8],
-    dim: usize,
-    split: usize,
-    out: &mut [[i32; GROUP]; QUERY_TILE],
-) {
-    use std::arch::x86_64::*;
-    let w: [&[i16]; T] = std::array::from_fn(|t| &wide[t * split..(t + 1) * split]);
-    let qs: [&[i8]; T] = std::array::from_fn(|t| queries[t]);
-    for (r, start) in (0..rows.len()).step_by(dim).enumerate() {
-        let row = &rows[start..start + dim];
-        // SAFETY: guaranteed by this fn's `# Safety` contract — AVX2 is
-        // enabled, and `split` is a multiple of AVX2_CHUNK no longer than
-        // the row, while every `w[t]` is exactly `split` i16 long, so all
-        // 256-bit loads stay in bounds.
-        unsafe {
-            let mut acc = [_mm256_setzero_si256(); T];
-            let mut i = 0;
-            while i < split {
-                let v = _mm256_loadu_si256(row.as_ptr().add(i) as *const __m256i);
-                let rlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(v));
-                let rhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(v));
-                for t in 0..T {
-                    let qlo = _mm256_loadu_si256(w[t].as_ptr().add(i) as *const __m256i);
-                    let qhi = _mm256_loadu_si256(w[t].as_ptr().add(i + 16) as *const __m256i);
-                    acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(rlo, qlo));
-                    acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(rhi, qhi));
-                }
-                i += AVX2_CHUNK;
-            }
-            for t in 0..T {
-                let lo = _mm256_castsi256_si128(acc[t]);
-                let hi = _mm256_extracti128_si256::<1>(acc[t]);
-                let s = _mm_add_epi32(lo, hi);
-                let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b0100_1110>(s));
-                let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b1011_0001>(s));
-                let mut sum = _mm_cvtsi128_si32(s);
-                for (x, y) in qs[t][split..].iter().zip(&row[split..]) {
-                    sum += *x as i32 * *y as i32;
-                }
-                out[t][r] = sum;
-            }
-        }
-    }
-}
-
-/// Sixteen i32 row accumulators reduced to one zmm whose lane `r` is
-/// the sum of accumulator `r`'s sixteen lanes: a transpose-add tree of
-/// 32-bit and 64-bit unpacks within each 128-bit lane (rows pairwise,
-/// then in fours), then two 128-bit shuffle levels (`0x88` takes lanes
-/// 0 and 2 of both operands, `0xDD` lanes 1 and 3) that bring each row
-/// four's partial sums together — 45 operations for sixteen dots.
-///
-/// # Safety
-/// Requires AVX-512F (caller is an AVX-512 leaf).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn reduce16_avx512(acc: &[std::arch::x86_64::__m512i; GROUP]) -> std::arch::x86_64::__m512i {
-    use std::arch::x86_64::*;
-    // SAFETY: AVX-512F is enabled in the calling leaf; register-only
-    // arithmetic.
-    unsafe {
-        // Rows 2i, 2i+1: per 128-bit lane [a0+a2, b0+b2, a1+a3, b1+b3].
-        let pair = |a: __m512i, b: __m512i| {
-            _mm512_add_epi32(_mm512_unpacklo_epi32(a, b), _mm512_unpackhi_epi32(a, b))
-        };
-        let p: [__m512i; 8] = std::array::from_fn(|i| pair(acc[2 * i], acc[2 * i + 1]));
-        // Rows 4i..4i+3: per 128-bit lane that lane's four-element sum
-        // of each row.
-        let quad = |a: __m512i, b: __m512i| {
-            _mm512_add_epi32(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b))
-        };
-        let q: [__m512i; 4] = std::array::from_fn(|i| quad(p[2 * i], p[2 * i + 1]));
-        // Fold the four 128-bit lanes of each row four.
-        let fold = |a: __m512i, b: __m512i| {
-            _mm512_add_epi32(
-                _mm512_shuffle_i32x4::<0x88>(a, b),
-                _mm512_shuffle_i32x4::<0xDD>(a, b),
-            )
-        };
-        fold(fold(q[0], q[1]), fold(q[2], q[3]))
     }
 }
 
@@ -837,63 +875,155 @@ unsafe fn score_avx512(
     }
 }
 
-/// Symmetric int8 quantization of one f32 slice against a given scale:
-/// `q = round(x / scale)` clamped to `[-127, 127]`. A zero scale (the
-/// all-zero corpus) quantizes everything to zero.
-fn quantize_into(src: &[f32], scale: f32, out: &mut Vec<i8>) {
+/// `v.round().clamp(-127.0, 127.0) as i8` (half away from zero; NaN
+/// gives 0) without the libm call that keeps `round` from vectorizing:
+/// `v` clamped to ±127 (rounding commutes with that clamp, whose ends
+/// are integers), truncated toward zero, plus one step away from zero
+/// when the dropped fraction is at least one half. The fraction
+/// `v − trunc(v)` is exact in f32 at these magnitudes.
+#[inline(always)]
+fn round_to_i8(v: f32) -> i8 {
+    let v = if v.is_nan() {
+        0.0
+    } else {
+        v.clamp(-127.0, 127.0)
+    };
+    // SAFETY: `v` is finite and within ±127, so its truncation is an
+    // i32; the checked `as` conversion would handle NaN and overflow
+    // lane by lane and keep the loop from vectorizing.
+    let t: i32 = unsafe { v.to_int_unchecked() };
+    let f = v - t as f32;
+    (t + i32::from(f >= 0.5) - i32::from(f <= -0.5)) as i8
+}
+
+/// Quantize one row against `scale` into `q` (its length: `q[i] =
+/// round(row[i]/scale)` clamped to ±127, all 0 at scale 0) and return
+/// `(‖x‖², ‖x − x̂‖²)` in f64 with `x̂ = scale·q`. The sums run in four
+/// lanes (component `i` in lane `i % 4`) added pairwise at the end, so
+/// they are a pure function of the row however the loops vectorize.
+fn quantize_row(row: &[f32], scale: f32, q: &mut [i8]) -> (f64, f64) {
     if scale == 0.0 {
-        out.extend(std::iter::repeat_n(0i8, src.len()));
-        return;
+        q.fill(0);
+    } else {
+        for (b, &x) in q.iter_mut().zip(row) {
+            *b = round_to_i8(x / scale);
+        }
     }
-    out.extend(
-        src.iter()
-            .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8),
-    );
+    let mut norm = [0.0f64; CHUNK_DIMS];
+    let mut resid = [0.0f64; CHUNK_DIMS];
+    let mut add = |j: usize, x: f32, b: i8| {
+        let x = x as f64;
+        let e = x - b as f64 * scale as f64;
+        norm[j] += x * x;
+        resid[j] += e * e;
+    };
+    let (xs, bs) = (row.chunks_exact(CHUNK_DIMS), q.chunks_exact(CHUNK_DIMS));
+    let (x_tail, b_tail) = (xs.remainder(), bs.remainder());
+    for (x, b) in xs.zip(bs) {
+        for j in 0..CHUNK_DIMS {
+            add(j, x[j], b[j]);
+        }
+    }
+    for (j, (&x, &b)) in x_tail.iter().zip(b_tail).enumerate() {
+        add(j, x, b);
+    }
+    (
+        (norm[0] + norm[2]) + (norm[1] + norm[3]),
+        (resid[0] + resid[2]) + (resid[1] + resid[3]),
+    )
 }
 
-/// Largest absolute component of a slice.
+/// Largest absolute component of a slice, in eight independent lanes
+/// (the maximum is exact, so the lane split cannot change it).
 fn max_abs(v: &[f32]) -> f32 {
-    v.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-}
-
-/// Quantize a flat f32 block against its own symmetric scale: returns
-/// the int8 block, the scale (`max |x| / 127`), and the largest row L2
-/// norm (a term of [`pair_error_bound`]). One call per segment builds
-/// that segment's quant shadow.
-pub fn quantize_block(dim: usize, rows: usize, data: &[f32]) -> (Vec<i8>, f32, f32) {
-    let scale = max_abs(data) / 127.0;
-    let mut q = Vec::with_capacity(data.len());
-    quantize_into(data, scale, &mut q);
-    let mut max_norm = 0.0f64;
-    for r in 0..rows {
-        let row = &data[r * dim..(r + 1) * dim];
-        let n: f64 = row.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
-        max_norm = max_norm.max(n);
+    let mut m = [0.0f32; 8];
+    let split = v.len() - v.len() % m.len();
+    for c in v[..split].chunks_exact(m.len()) {
+        for (m, &x) in m.iter_mut().zip(c) {
+            *m = m.max(x.abs());
+        }
     }
-    (q, scale, max_norm.sqrt() as f32)
+    for &x in &v[split..] {
+        m[0] = m[0].max(x.abs());
+    }
+    m.iter().fold(0.0f32, |a, &b| a.max(b))
 }
 
-/// A query quantized for screening: its int8 form, its own symmetric
-/// scale, and its exact L2 norm (both feed the error bound).
+/// One segment's int8 shadow ([`quantize_block`]): the bytes in the
+/// block layout (module docs), and the three scalars the error bound
+/// reads.
+#[derive(Debug, Clone)]
+pub struct QuantBlock {
+    /// The rows quantized, in groups of 16 rows of 64-byte chunks, zero
+    /// bytes past `dim` and past the last row.
+    pub bytes: Vec<i8>,
+    /// The symmetric scale `max |x| / 127` every row was quantized
+    /// against.
+    pub scale: f32,
+    /// The largest row L2 norm `M`.
+    pub max_norm: f32,
+    /// The largest row residual `R = ‖y − ŷ‖` (`ŷ = scale·q`).
+    pub max_resid: f32,
+}
+
+/// Quantize a row-major f32 block (`rows × dim`) against its own
+/// symmetric scale, in one pass over the rows: each row is rounded into
+/// a one-row buffer, its norm and residual summed as it goes, and its
+/// 4-byte chunks copied into its group of the block layout — there is
+/// no row-major copy of the block. One call per segment builds that
+/// segment's quant shadow.
+pub fn quantize_block(dim: usize, rows: usize, data: &[f32]) -> QuantBlock {
+    assert!(dim > 0 && data.len() == rows * dim, "a rows × dim block");
+    let scale = max_abs(data) / 127.0;
+    let group = group_bytes(dim);
+    let mut bytes = vec![0i8; rows.div_ceil(GROUP) * group];
+    // One row's bytes, zero-padded to whole chunks, on their way to the
+    // row's 4-byte slots in its group's chunks.
+    let mut row_bytes = vec![0i8; chunks(dim) * CHUNK_DIMS];
+    let (mut max_norm, mut max_resid) = (0.0f64, 0.0f64);
+    for (r, row) in data.chunks_exact(dim).enumerate() {
+        let (norm, resid) = quantize_row(row, scale, &mut row_bytes[..dim]);
+        max_norm = max_norm.max(norm);
+        max_resid = max_resid.max(resid);
+        let at = r / GROUP * group + r % GROUP * CHUNK_DIMS;
+        let slots = bytes[at..].chunks_mut(CHUNK_BYTES);
+        for (slot, quad) in slots.zip(row_bytes.chunks_exact(CHUNK_DIMS)) {
+            slot[..CHUNK_DIMS].copy_from_slice(quad);
+        }
+    }
+    QuantBlock {
+        bytes,
+        scale,
+        max_norm: max_norm.sqrt() as f32,
+        max_resid: max_resid.sqrt() as f32,
+    }
+}
+
+/// A query quantized for screening: its int8 row, its own symmetric
+/// scale, and the three norms of the error bound, in f64 from that row.
 #[derive(Debug, Clone)]
 pub struct QuantQuery {
     q: Vec<i8>,
     scale: f32,
-    norm: f32,
+    norm: f64,
+    resid: f64,
+    hat_norm: f64,
 }
 
 impl QuantQuery {
     /// Quantize a query vector with its own per-query symmetric scale.
     pub fn new(query: &[f32]) -> Self {
         let scale = max_abs(query) / 127.0;
-        let mut q = Vec::with_capacity(query.len());
-        quantize_into(query, scale, &mut q);
-        let norm = query
-            .iter()
-            .map(|&x| x as f64 * x as f64)
-            .sum::<f64>()
-            .sqrt() as f32;
-        Self { q, scale, norm }
+        let mut q = vec![0i8; query.len()];
+        let (norm, resid) = quantize_row(query, scale, &mut q);
+        let squares: i64 = q.iter().map(|&x| x as i64 * x as i64).sum();
+        Self {
+            q,
+            scale,
+            norm: norm.sqrt(),
+            resid: resid.sqrt(),
+            hat_norm: scale as f64 * (squares as f64).sqrt(),
+        }
     }
 
     /// The int8 query row.
@@ -908,30 +1038,34 @@ impl QuantQuery {
         self.scale
     }
 
-    /// The query's exact L2 norm.
+    /// The query's L2 norm `‖x‖`.
     #[inline]
-    pub fn norm(&self) -> f32 {
+    pub fn norm(&self) -> f64 {
         self.norm
+    }
+
+    /// The query's quantization residual `‖x − x̂‖` (`x̂ = scale·q`).
+    #[inline]
+    pub fn resid(&self) -> f64 {
+        self.resid
+    }
+
+    /// The norm of the dequantized query, `‖x̂‖`.
+    #[inline]
+    pub fn hat_norm(&self) -> f64 {
+        self.hat_norm
     }
 }
 
-/// The padded per-pair quantization-error bound:
-/// `e_q·max_norm + (‖query‖ + e_q)·e_y` with `e = (scale/2)·√dim`,
-/// padded relatively (1e-3) and absolutely (1e-4) to also cover the f32
-/// rounding of the exact dot, the scale multiplies, and the
-/// quantization divides. Padding widens the rerank margin; it can never
-/// exclude a document the exact scan would keep.
-pub fn pair_error_bound(
-    query_scale: f64,
-    query_norm: f64,
-    index_scale: f64,
-    index_max_norm: f64,
-    dim: usize,
-) -> f64 {
-    let sqrt_d = (dim as f64).sqrt();
-    let eq = 0.5 * query_scale * sqrt_d;
-    let ey = 0.5 * index_scale * sqrt_d;
-    let raw = eq * index_max_norm + (query_norm + eq) * ey;
+/// The padded per-pair quantization-error bound of `query` against any
+/// row of `block`: `(‖x − x̂‖·M + ‖x̂‖·R + γ·‖x‖·M)·(1 + 10⁻³) + 10⁻⁴`
+/// with the f32 rounding allowance `γ = (⌈dim/8⌉ + 6)·2⁻²³`
+/// (derivation in the module docs). Padding widens the rerank margin;
+/// it can never exclude a document the exact scan would keep.
+pub fn pair_error_bound(query: &QuantQuery, block: &QuantBlock) -> f64 {
+    let (m, r) = (block.max_norm as f64, block.max_resid as f64);
+    let gamma = (query.q.len().div_ceil(8) + 6) as f64 / (1u64 << 23) as f64;
+    let raw = query.resid * m + query.hat_norm * r + gamma * query.norm * m;
     raw * 1.001 + 1e-4
 }
 
@@ -969,28 +1103,57 @@ mod tests {
     use super::*;
     use kgstore::rng::{check, StdRng};
 
-    /// Naive i32 dot of two int8 rows: the reference of the kernel
-    /// tests.
+    /// Naive i32 dot of two int8 rows.
     fn naive_dot(a: &[i8], b: &[i8]) -> i32 {
         a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
     }
 
-    /// Every query of `queries` against every row of `rows` through
-    /// `kernel`'s group leaf, group by group, with `thresholds` per
-    /// query; each query's candidates drained after every group. Returns
-    /// each query's (id, dot) pairs in the order the leaf appended them.
+    /// Where component `i` of row `r` lives in the block layout at
+    /// `dim`: the test's own statement of the layout.
+    fn block_index(dim: usize, r: usize, i: usize) -> usize {
+        r / GROUP * group_bytes(dim) + i / 4 * 64 + r % GROUP * 4 + i % 4
+    }
+
+    /// Row-major int8 rows re-laid out in the block layout, zero bytes
+    /// everywhere else.
+    fn lay_out(rows: &[i8], dim: usize) -> Vec<i8> {
+        let n = rows.len() / dim;
+        let mut out = vec![0i8; n.div_ceil(GROUP) * group_bytes(dim)];
+        for (r, row) in rows.chunks_exact(dim).enumerate() {
+            for (i, &x) in row.iter().enumerate() {
+                out[block_index(dim, r, i)] = x;
+            }
+        }
+        out
+    }
+
+    /// The naive i32 dot of `q` with row `r` of a block-layout shadow.
+    fn naive_block_dot(q: &[i8], block: &[i8], dim: usize, r: usize) -> i32 {
+        (0..dim)
+            .map(|i| q[i] as i32 * block[block_index(dim, r, i)] as i32)
+            .sum()
+    }
+
+    /// Every query of `queries` against the `n` rows of the block-layout
+    /// shadow `block` through `kernel`'s group leaf, group by group,
+    /// with `thresholds` per query; each query's candidates drained
+    /// after every group. Returns each query's (id, dot) pairs in the
+    /// order the leaf appended them.
     fn screen_all(
         kernel: Kernel,
         queries: &[Vec<i8>],
-        rows: &[i8],
+        block: &[i8],
+        n: usize,
         dim: usize,
         thresholds: &[i32],
     ) -> Vec<Vec<(usize, i32)>> {
-        let screen = Screen::new(kernel, queries.iter().map(|q| q.as_slice()).collect(), dim);
+        let rows: Vec<&[i8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let screen = Screen::new(kernel, &rows, dim);
         let mut cands = vec![Cands::default(); queries.len()];
         let mut out = vec![Vec::new(); queries.len()];
-        for (g, group) in rows.chunks(GROUP * dim).enumerate() {
-            screen.group(group, (g * GROUP) as u32, thresholds, &mut cands);
+        for (g, group) in block.chunks_exact(group_bytes(dim)).enumerate() {
+            let n_rows = (n - g * GROUP).min(GROUP);
+            screen.group(group, n_rows, (g * GROUP) as u32, thresholds, &mut cands);
             for (c, o) in cands.iter_mut().zip(&mut out) {
                 o.extend((0..c.len()).map(|j| (c.id(j), c.dots[j])));
                 c.consume(c.len());
@@ -999,54 +1162,64 @@ mod tests {
         out
     }
 
+    /// A byte in ±127, the quantizer's range.
+    fn byte(rng: &mut StdRng) -> i8 {
+        (rng.random_range(0..255) as i32 - 127) as i8
+    }
+
     #[test]
-    fn group_dots_match_naive_loop_in_every_leaf() {
+    fn group_dots_match_a_naive_loop_over_the_block_layout_in_every_leaf() {
         // Every leaf this host supports, called directly, against a
-        // naive loop: dims around the 16-, 32- and 64-byte chunks (the
-        // portable body's 16 lanes, the AVX2 and AVX-512 chunks),
-        // 0–17 rows (an empty block, every partial group, one full
-        // group and one row past it) and 50 rows (several groups), at
-        // widths 0–9 (full AVX2 tiles of four plus every remainder).
-        // Query 0 and row 0 are all +127, query 1 and row 1 all −127,
-        // so the extreme sums ±127²·dim are in every output; the other
-        // bytes span −128..=126. With the threshold at i32::MIN every
-        // pair is appended, in row order.
-        for dim in [1usize, 7, 8, 9, 16, 17, 31, 32, 33, 63, 64, 65, 96, 256] {
-            for rows_n in (0..=17).chain([50]) {
-                let mut rows: Vec<i8> = (0..rows_n * dim)
-                    .map(|i| ((i * 37 + 11) % 255) as i8)
+        // naive loop over the block layout: dims that fill the last
+        // 4-byte chunk and dims that leave one to three zero bytes in
+        // it, 0–17 rows (no group, every partial group, one full group
+        // and one row past it) and 50 rows (several groups, a partial
+        // last one), at widths 0–17 (full AVX-512 tiles of eight and
+        // AVX2 tiles of four plus every remainder). Query 0 and row 0
+        // are all +127, query 1 and row 1 all −127, so the extreme sums
+        // ±127²·dim are in every output; the other bytes span ±127.
+        // With the threshold at i32::MIN every live pair is appended, in
+        // row order, and a lane of a row past the end would show up.
+        for dim in [1usize, 3, 4, 7, 33, 64, 65, 100, 256] {
+            for n in (0..=17).chain([50]) {
+                let mut rows: Vec<i8> = (0..n * dim)
+                    .map(|i| (((i * 37 + 11) % 255) as i32 - 127) as i8)
                     .collect();
-                if rows_n >= 2 {
+                if n >= 2 {
                     rows[..dim].fill(127);
                     rows[dim..2 * dim].fill(-127);
                 }
-                let queries: Vec<Vec<i8>> = (0..9)
+                let block = lay_out(&rows, dim);
+                let queries: Vec<Vec<i8>> = (0..17)
                     .map(|q| match q {
                         0 => vec![127; dim],
                         1 => vec![-127; dim],
-                        _ => (0..dim).map(|i| ((i * 91 + q * 13) % 255) as i8).collect(),
+                        _ => (0..dim)
+                            .map(|i| (((i * 91 + q * 13) % 255) as i32 - 127) as i8)
+                            .collect(),
                     })
                     .collect();
                 let naive: Vec<Vec<(usize, i32)>> = queries
                     .iter()
                     .map(|q| {
-                        rows.chunks_exact(dim)
-                            .map(|row| naive_dot(q, row))
-                            .enumerate()
+                        (0..n)
+                            .map(|r| (r, naive_block_dot(q, &block, dim, r)))
                             .collect()
                     })
                     .collect();
-                if rows_n >= 2 {
+                if n >= 2 {
                     assert_eq!(naive[0][1].1, -127 * 127 * dim as i32);
+                    assert_eq!(naive[1][1].1, 127 * 127 * dim as i32);
                 }
-                for width in 0usize..=9 {
+                for width in 0usize..=17 {
                     let thresholds = vec![i32::MIN; width];
                     for kernel in Kernel::supported() {
-                        let got = screen_all(kernel, &queries[..width], &rows, dim, &thresholds);
+                        let got =
+                            screen_all(kernel, &queries[..width], &block, n, dim, &thresholds);
                         assert_eq!(
                             got,
                             naive[..width],
-                            "{} dim {dim} rows {rows_n} width {width}",
+                            "{} dim {dim} rows {n} width {width}",
                             kernel.name()
                         );
                     }
@@ -1062,17 +1235,16 @@ mod tests {
         // the pairs with dot ≥ t, in id order, with their dots.
         check(64, 0x6_0075, |rng| {
             let dim = rng.random_range(1..140);
-            let rows_n = rng.random_range(1..60);
-            let width = rng.random_range(1..10);
-            let byte = |r: &mut StdRng| r.random_range(0..255) as u8 as i8;
-            let rows: Vec<i8> = (0..rows_n * dim).map(|_| byte(rng)).collect();
+            let n = rng.random_range(1..60);
+            let width = rng.random_range(1..19);
+            let rows: Vec<i8> = (0..n * dim).map(|_| byte(rng)).collect();
             let queries: Vec<Vec<i8>> = (0..width)
                 .map(|_| (0..dim).map(|_| byte(rng)).collect())
                 .collect();
             let thresholds: Vec<i32> = queries
                 .iter()
                 .map(|q| {
-                    let r = rng.random_range(0..rows_n);
+                    let r = rng.random_range(0..n);
                     naive_dot(q, &rows[r * dim..(r + 1) * dim])
                 })
                 .collect();
@@ -1087,9 +1259,10 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            let block = lay_out(&rows, dim);
             for kernel in Kernel::supported() {
-                let got = screen_all(kernel, &queries, &rows, dim, &thresholds);
-                assert_eq!(got, want, "{} dim {dim} rows {rows_n}", kernel.name());
+                let got = screen_all(kernel, &queries, &block, n, dim, &thresholds);
+                assert_eq!(got, want, "{} dim {dim} rows {n}", kernel.name());
             }
         });
     }
@@ -1098,9 +1271,9 @@ mod tests {
     fn dot_i8_extremes_do_not_overflow() {
         let dim = 4096;
         let queries = [vec![127i8; dim]];
-        let rows = vec![-127i8; 3 * dim];
+        let block = lay_out(&vec![-127i8; 3 * dim], dim);
         for kernel in Kernel::supported() {
-            let got = screen_all(kernel, &queries, &rows, dim, &[i32::MIN]);
+            let got = screen_all(kernel, &queries, &block, 3, dim, &[i32::MIN]);
             let d = -127 * 127 * dim as i32;
             assert_eq!(got, [[(0, d), (1, d), (2, d)]], "{}", kernel.name());
         }
@@ -1238,36 +1411,94 @@ mod tests {
     }
 
     #[test]
-    fn quantization_error_is_within_half_scale() {
-        let (rows, dim) = (20usize, 32usize);
-        let data = block(rows, dim, |i| (i as f32).sin());
-        let (q, scale, _) = quantize_block(dim, rows, &data);
-        let tol = scale as f64 * 0.5 * 1.001 + 1e-9;
-        for (i, &x) in data.iter().enumerate() {
-            let back = q[i] as f64 * scale as f64;
-            assert!((x as f64 - back).abs() <= tol, "comp {i}: {x} vs {back}");
+    fn truncate_and_compare_rounding_equals_round() {
+        // Every half-integer in and past ±127 and its f32 neighbours,
+        // the integers themselves, random values over the quantizer's
+        // range and beyond it, signed zeros, NaN and the infinities.
+        let reference = |v: f32| v.round().clamp(-127.0, 127.0) as i8;
+        let mut values = vec![0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for k in -140i32..=140 {
+            for v in [k as f32, k as f32 + 0.5] {
+                values.extend([v, v.next_up(), v.next_down()]);
+            }
+        }
+        let rng = &mut StdRng::seed_from_u64(0x20_0D);
+        values.extend((0..200_000).map(|_| (rng.random_f64() * 300.0 - 150.0) as f32));
+        for v in values {
+            assert_eq!(round_to_i8(v), reference(v), "v = {v:e}");
+        }
+    }
+
+    #[test]
+    fn quantized_block_is_the_row_major_quantization_re_laid_out() {
+        // Partial and whole groups, dims with and without a partial
+        // chunk: the bytes are round(x/s) clamped to ±127 re-laid out
+        // (zero bytes elsewhere), and the norms are the rows' own.
+        for (rows, dim) in [
+            (1usize, 1usize),
+            (15, 3),
+            (16, 4),
+            (17, 7),
+            (40, 33),
+            (33, 256),
+        ] {
+            let data = block(rows, dim, |i| {
+                ((i as f32) * 0.37).sin() * (1 + i % 5) as f32
+            });
+            let qb = quantize_block(dim, rows, &data);
+            assert_eq!(
+                qb.scale,
+                data.iter().fold(0.0f32, |m, x| m.max(x.abs())) / 127.0
+            );
+            let row_major: Vec<i8> = data
+                .iter()
+                .map(|&x| (x / qb.scale).round().clamp(-127.0, 127.0) as i8)
+                .collect();
+            assert_eq!(qb.bytes, lay_out(&row_major, dim), "rows {rows} dim {dim}");
+            let norm = |r: usize, f: &dyn Fn(usize) -> f64| -> f64 {
+                (0..dim).map(|i| f(r * dim + i).powi(2)).sum::<f64>().sqrt()
+            };
+            let s = qb.scale as f64;
+            let max_norm = (0..rows)
+                .map(|r| norm(r, &|i| data[i] as f64))
+                .fold(0.0, f64::max);
+            let max_resid = (0..rows)
+                .map(|r| norm(r, &|i| data[i] as f64 - row_major[i] as f64 * s))
+                .fold(0.0, f64::max);
+            for (got, want) in [(qb.max_norm, max_norm), (qb.max_resid, max_resid)] {
+                assert!((got as f64 - want).abs() <= want * 1e-6, "{got} vs {want}");
+            }
+            assert!(qb.max_resid as f64 <= (s / 2.0) * (dim as f64).sqrt() * 1.0001);
         }
     }
 
     #[test]
     fn zero_corpus_quantizes_to_zero() {
-        let (q, scale, max_norm) = quantize_block(3, 2, &[0.0f32; 6]);
-        assert_eq!(scale, 0.0);
-        assert_eq!(max_norm, 0.0);
-        assert!(q.iter().all(|&x| x == 0));
+        let qb = quantize_block(3, 2, &[0.0f32; 6]);
+        assert_eq!((qb.scale, qb.max_norm, qb.max_resid), (0.0, 0.0, 0.0));
+        assert_eq!(qb.bytes, vec![0i8; group_bytes(3)]);
         let qq = QuantQuery::new(&[0.0; 3]);
+        assert_eq!((qq.norm(), qq.resid(), qq.hat_norm()), (0.0, 0.0, 0.0));
         for kernel in Kernel::supported() {
-            let got = screen_all(kernel, &[qq.row().to_vec()], &q, 3, &[i32::MIN]);
+            let got = screen_all(kernel, &[qq.row().to_vec()], &qb.bytes, 2, 3, &[i32::MIN]);
             assert_eq!(got, [[(0, 0), (1, 0)]], "{}", kernel.name());
         }
-        let bound = pair_error_bound(
-            qq.scale() as f64,
-            qq.norm() as f64,
-            scale as f64,
-            max_norm as f64,
-            3,
-        );
-        assert!(bound >= 0.0);
+        // Only the absolute padding is left.
+        assert_eq!(pair_error_bound(&qq, &qb), 1e-4);
+    }
+
+    #[test]
+    fn query_norms_are_those_of_its_int8_row() {
+        let query: Vec<f32> = (0..37).map(|i| (i as f32 * 1.3).cos() * 0.2).collect();
+        let qq = QuantQuery::new(&query);
+        let s = qq.scale() as f64;
+        let hat: Vec<f64> = qq.row().iter().map(|&q| q as f64 * s).collect();
+        let l2 = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
+        let close = |a: f64, b: f64| (a - b).abs() <= b * 1e-12;
+        assert!(close(qq.norm(), l2(&mut query.iter().map(|&x| x as f64))));
+        assert!(close(qq.hat_norm(), l2(&mut hat.iter().copied())));
+        let resid = l2(&mut query.iter().zip(&hat).map(|(&x, &h)| x as f64 - h));
+        assert!(close(qq.resid(), resid));
     }
 
     #[test]
@@ -1279,21 +1510,15 @@ mod tests {
         for row in data.chunks_exact_mut(dim) {
             crate::embed::l2_normalize(row);
         }
-        let (q, scale, max_norm) = quantize_block(dim, rows, &data);
+        let qb = quantize_block(dim, rows, &data);
         for (probe, query) in data.chunks_exact(dim).enumerate() {
             let qq = QuantQuery::new(query);
-            let bound = pair_error_bound(
-                qq.scale() as f64,
-                qq.norm() as f64,
-                scale as f64,
-                max_norm as f64,
-                dim,
-            );
-            let factor = qq.scale() * scale;
+            let bound = pair_error_bound(&qq, &qb);
+            let factor = qq.scale() * qb.scale;
             for (id, row) in data.chunks_exact(dim).enumerate() {
                 let exact = crate::embed::dot(query, row) as f64;
-                let qrow = &q[id * dim..(id + 1) * dim];
-                let approx = (naive_dot(qq.row(), qrow) as f32 * factor) as f64;
+                let d = naive_block_dot(qq.row(), &qb.bytes, dim, id);
+                let approx = (d as f32 * factor) as f64;
                 assert!(
                     (exact - approx).abs() <= bound,
                     "pair ({probe}, {id}): |{exact} - {approx}| > {bound}"

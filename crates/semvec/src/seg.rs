@@ -5,7 +5,9 @@
 //! [`SegmentedIndex`] holds one f32 row per document in global id
 //! order and splits the corpus into fixed-size segments of
 //! [`seg_rows`](SegmentedIndex::seg_rows) documents. Each segment owns
-//! its *own* int8 quant shadow (per-segment scale and max-norm).
+//! its *own* int8 quant shadow in the block layout of [`crate::quant`]
+//! (16-row groups of 64-byte chunks), with its scale, largest row norm
+//! and largest row residual.
 //! Segments are contiguous in global id space: segment `s` holds ids
 //! `[s·seg_rows, s·seg_rows + rows)`, so global id ↔ (segment, local
 //! row) is a division — no lookup tables.
@@ -25,7 +27,13 @@
 //! * The screen scores each segment against its own scale, and the
 //!   rerank keeps a **single global margin** `θ̂ − 2·B_max`, where `θ̂`
 //!   is the k-th best screened score across all segments and `B_max`
-//!   the largest per-segment error bound for this query. Proof sketch:
+//!   the largest per-segment error bound for this query: for segment
+//!   `s`, `bound_s = quant::pair_error_bound`, sized from the query's
+//!   own residual `‖x − x̂‖` and dequantized norm `‖x̂‖` against the
+//!   segment's largest row norm `M_s` and largest row residual `R_s`
+//!   (plus the f32 rounding allowance and padding; derivation in
+//!   `quant`), so `|exact − screened| ≤ bound_s` for every pair of the
+//!   query with a row of `s`. Proof sketch:
 //!   a skipped doc `j` in segment `s` has
 //!   `exact_j ≤ screened_j + bound_s ≤ screened_j + B_max < θ̂ − B_max`,
 //!   while each of the k screened-top docs `i` has
@@ -82,8 +90,9 @@
 
 use crate::embed::{dot, Embedder};
 use crate::index::{jitter, jitter_max, Hit, NoisyQuery, TopK};
-use crate::quant::{pair_error_bound, pre_threshold, quantize_block, score_candidates};
-use crate::quant::{Cands, Kernel, QuantQuery, ScoreParams, Screen, ScreenStats, GROUP};
+use crate::quant::{group_bytes, pair_error_bound, pre_threshold, quantize_block};
+use crate::quant::{score_candidates, Cands, Kernel, QuantBlock, QuantQuery, ScoreParams};
+use crate::quant::{Screen, ScreenStats, GROUP};
 use kgstore::hash::FxHashMap;
 
 /// Default documents per segment. At the seed corpus (~6k docs) this
@@ -134,9 +143,7 @@ pub fn build_chunk_ranges(docs: usize, threads: usize) -> Vec<std::ops::Range<us
 struct Segment {
     base: usize,
     rows: usize,
-    quant: Vec<i8>,
-    scale: f32,
-    max_norm: f32,
+    quant: QuantBlock,
 }
 
 /// The sharded index (see module docs for the layout and the
@@ -166,7 +173,8 @@ impl SegmentedIndex {
     /// occurrence — the workers split the rows into the contiguous
     /// chunks of [`build_chunk_ranges`] — and every later duplicate
     /// copies that row; then the workers quantize contiguous runs of
-    /// segments. Output is
+    /// segments, each in one pass that writes its block layout
+    /// directly. Output is
     /// byte-identical for every thread count (a row's bits depend only
     /// on its text) and for every `seg_rows` (segmentation changes the
     /// quant shadows' extent, never a row's bits).
@@ -227,7 +235,7 @@ impl SegmentedIndex {
         // Each segment is quantized from its slice of the column; the
         // workers take contiguous runs of segments.
         let blocks: Vec<&[f32]> = vectors.chunks(seg_rows.saturating_mul(dim)).collect();
-        let quantize = |run: &[&[f32]]| -> Vec<(Vec<i8>, f32, f32)> {
+        let quantize = |run: &[&[f32]]| -> Vec<QuantBlock> {
             run.iter()
                 .map(|block| quantize_block(dim, block.len() / dim, block))
                 .collect()
@@ -251,12 +259,10 @@ impl SegmentedIndex {
             .iter()
             .zip(shadows)
             .enumerate()
-            .map(|(s, (block, (quant, scale, max_norm)))| Segment {
+            .map(|(s, (block, quant))| Segment {
                 base: s * seg_rows,
                 rows: block.len() / dim,
                 quant,
-                scale,
-                max_norm,
             })
             .collect();
         Self {
@@ -301,12 +307,17 @@ impl SegmentedIndex {
 
     /// Quantization scale of segment `s`'s int8 shadow.
     pub fn segment_scale(&self, s: usize) -> f32 {
-        self.segments[s].scale
+        self.segments[s].quant.scale
     }
 
     /// Largest row L2 norm in segment `s`.
     pub fn segment_max_norm(&self, s: usize) -> f32 {
-        self.segments[s].max_norm
+        self.segments[s].quant.max_norm
+    }
+
+    /// Largest row quantization residual `‖y − ŷ‖` in segment `s`.
+    pub fn segment_max_resid(&self, s: usize) -> f32 {
+        self.segments[s].quant.max_resid
     }
 
     /// Encode-worker threads the build used.
@@ -326,20 +337,8 @@ impl SegmentedIndex {
             + self
                 .segments
                 .iter()
-                .map(|s| std::mem::size_of_val(&s.quant[..]))
+                .map(|s| std::mem::size_of_val(&s.quant.bytes[..]))
                 .sum::<usize>()
-    }
-
-    /// Per-(query, segment) quantization error bound.
-    #[inline]
-    fn seg_bound(&self, qq: &QuantQuery, seg: &Segment) -> f64 {
-        pair_error_bound(
-            qq.scale() as f64,
-            qq.norm() as f64,
-            seg.scale as f64,
-            seg.max_norm as f64,
-            self.dim,
-        )
     }
 
     /// Batched quantized noisy top-k: per-segment batched int8 screen,
@@ -383,7 +382,8 @@ impl SegmentedIndex {
         let sigma = sigma.max(0.0);
         let jmax = jitter_max(sigma);
         let qqs: Vec<QuantQuery> = queries.iter().map(|q| QuantQuery::new(q.vector)).collect();
-        let screen = Screen::new(kernel, qqs.iter().map(|qq| qq.row()).collect(), self.dim);
+        let rows: Vec<&[i8]> = qqs.iter().map(|qq| qq.row()).collect();
+        let screen = Screen::new(kernel, &rows, self.dim);
         let mut slots: Vec<SlotScan> = queries
             .iter()
             .zip(&qqs)
@@ -391,7 +391,7 @@ impl SegmentedIndex {
                 let b_max = self
                     .segments
                     .iter()
-                    .map(|seg| self.seg_bound(qq, seg))
+                    .map(|seg| pair_error_bound(qq, &seg.quant))
                     .fold(0.0, f64::max);
                 SlotScan {
                     top: TopK::new(k),
@@ -411,12 +411,14 @@ impl SegmentedIndex {
         let mut cands = vec![Cands::default(); queries.len()];
         for seg in &self.segments {
             for ((slot, qq), t) in slots.iter_mut().zip(&qqs).zip(&mut thresholds) {
-                slot.params.factor = qq.scale() * seg.scale;
+                slot.params.factor = qq.scale() * seg.quant.scale;
                 *t = slot.threshold(self.dim);
             }
-            for (g, rows) in seg.quant.chunks(GROUP * self.dim).enumerate() {
+            let groups = seg.quant.bytes.chunks_exact(group_bytes(self.dim));
+            for (g, block) in groups.enumerate() {
+                let n_rows = (seg.rows - g * GROUP).min(GROUP);
                 let base = (seg.base + g * GROUP) as u32;
-                screen.group(rows, base, &thresholds, &mut cands);
+                screen.group(block, n_rows, base, &thresholds, &mut cands);
                 for ((slot, c), t) in slots.iter_mut().zip(&mut cands).zip(&mut thresholds) {
                     if c.len() >= GROUP && slot.drain(kernel, c, GROUP) {
                         *t = slot.threshold(self.dim);
@@ -623,18 +625,72 @@ mod tests {
         for id in 0..serial.len() {
             assert_eq!(serial.vector(id), parallel.vector(id), "row {id}");
         }
-        for s in 0..serial.num_segments() {
-            assert_eq!(
-                serial.segment_scale(s).to_bits(),
-                parallel.segment_scale(s).to_bits()
-            );
-            assert_eq!(
-                serial.segment_max_norm(s).to_bits(),
-                parallel.segment_max_norm(s).to_bits()
-            );
+        for (a, b) in serial.segments.iter().zip(&parallel.segments) {
+            assert_eq!(a.quant.bytes, b.quant.bytes);
+            for (x, y) in [
+                (a.quant.scale, b.quant.scale),
+                (a.quant.max_norm, b.quant.max_norm),
+                (a.quant.max_resid, b.quant.max_resid),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
         assert_eq!(serial.build_threads_used(), 1);
         assert_eq!(parallel.build_threads_used(), 8);
+    }
+
+    #[test]
+    fn segment_blocks_are_the_row_major_quantization_re_laid_out() {
+        // At dims with and without a partial 4-byte chunk, segment
+        // sizes that leave partial groups (and one-row segments), and
+        // one to three build threads: every segment's block bytes are
+        // its rows quantized row-major against its scale,
+        // `round(x/s)` clamped to ±127, re-laid out in 16-row groups of
+        // 64-byte chunks, with zero bytes past `dim` and past its last
+        // row, and its norms are its rows' own.
+        for dim in [256usize, 100, 7] {
+            let cfg = EmbedConfig {
+                dim,
+                noise: 0.6,
+                ..Default::default()
+            };
+            let emb = Embedder::new(cfg, SynonymTable::builtin());
+            let texts = corpus(150);
+            let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
+            let group = dim.div_ceil(4) * 64;
+            for seg_rows in [1usize, 16, 17, 40, 150] {
+                for threads in [1usize, 2, 3] {
+                    let idx = SegmentedIndex::build_parallel(&emb, &refs, seg_rows, threads);
+                    for seg in &idx.segments {
+                        let at = format!("dim {dim} seg_rows {seg_rows} threads {threads}");
+                        let rows = (seg.base..seg.base + seg.rows).map(|id| idx.vector(id));
+                        let scale =
+                            rows.clone().flatten().fold(0.0f32, |m, x| m.max(x.abs())) / 127.0;
+                        assert_eq!(seg.quant.scale.to_bits(), scale.to_bits(), "{at}");
+                        let mut want = vec![0i8; seg.rows.div_ceil(16) * group];
+                        let (mut max_norm, mut max_resid) = (0.0f64, 0.0f64);
+                        for (r, row) in rows.enumerate() {
+                            let (mut norm, mut resid) = (0.0f64, 0.0f64);
+                            for (i, &x) in row.iter().enumerate() {
+                                let q = (x / scale).round().clamp(-127.0, 127.0) as i8;
+                                want[r / 16 * group + i / 4 * 64 + r % 16 * 4 + i % 4] = q;
+                                norm += (x as f64).powi(2);
+                                resid += (x as f64 - q as f64 * scale as f64).powi(2);
+                            }
+                            max_norm = max_norm.max(norm.sqrt());
+                            max_resid = max_resid.max(resid.sqrt());
+                        }
+                        assert_eq!(seg.quant.bytes, want, "{at}");
+                        for (got, want) in [
+                            (seg.quant.max_norm, max_norm),
+                            (seg.quant.max_resid, max_resid),
+                        ] {
+                            assert!((got as f64 - want).abs() <= want * 1e-6, "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use kgstore::rng::{check, StdRng};
 use semvec::{
     cosine, dot, jitter, pair_error_bound, quantize_block, reference_top_k, Embedder, Hit,
-    NoisyQuery, QuantQuery, ScreenStats, SegmentedIndex,
+    NoisyQuery, QuantBlock, QuantQuery, ScreenStats, SegmentedIndex,
 };
 
 /// Character soup: letters and spaces.
@@ -250,24 +250,126 @@ fn quant_screen_rerank_topk_equals_oracle() {
     });
 }
 
-/// The padded per-pair error bound is never violated: for random
-/// (query, row) pairs over a `quantize_block` shadow, the dequantized
-/// int8 dot stays within the bound of the exact f32 dot. The grid runs
-/// other dimensions (1 to 256 wide) and up to 128 rows first.
+/// Row `r` of a `quantize_block` shadow read back row-major, from the
+/// documented block layout: rows in groups of 16, each group a run of
+/// 64-byte chunks holding components `4c..4c+3` of each row in turn.
+fn block_row(block: &QuantBlock, dim: usize, r: usize) -> Vec<i8> {
+    let group = dim.div_ceil(4) * 64;
+    (0..dim)
+        .map(|i| block.bytes[r / 16 * group + i / 4 * 64 + r % 16 * 4 + i % 4])
+        .collect()
+}
+
+/// A `rows × dim` block and a query for the bound property, of one of
+/// five kinds, with row and query norms up to about 10³:
+///
+/// 0. random components at a random magnitude;
+/// 1. rows and query exactly on their quantization grids (zero
+///    residual): integers in ±127 (a ±127 in the first row and in the
+///    query pins each scale) times an odd multiple of a power of two, so
+///    `x/s` recovers every integer exactly while the f32 dot still
+///    rounds; the query is the first row on its own grid half the time,
+///    so its dot with that row reaches `‖x‖·‖y‖`;
+/// 2. one-hot rows and a one-hot or random query;
+/// 3. a zero query against random rows;
+/// 4. an all-zero block against a random query.
+fn bound_case(rng: &mut StdRng, kind: usize, rows: usize, dim: usize) -> (Vec<f32>, Vec<f32>) {
+    let norm_cap = |r: &mut StdRng| 10f64.powf(r.random_f64() * 6.0 - 3.0);
+    let random = |r: &mut StdRng, n: usize, mag: f64| -> Vec<f32> {
+        (0..n).map(|_| (coord(r) as f64 * mag) as f32).collect()
+    };
+    // A grid step s = odd·2^k with 127·s·√dim near a random norm.
+    let step = |r: &mut StdRng| -> f32 {
+        let target = norm_cap(r);
+        let odd = (2 * r.random_range(0..512) + 1) as f64;
+        let k = (target / (127.0 * odd * (dim as f64).sqrt()))
+            .log2()
+            .floor();
+        (odd * 2f64.powf(k)) as f32
+    };
+    let on_grid = |r: &mut StdRng, n: usize, s: f32| -> Vec<f32> {
+        let mut v: Vec<f32> = (0..n)
+            .map(|_| (r.random_range(0..255) as i32 - 127) as f32 * s)
+            .collect();
+        v[r.random_range(0..dim)] = if r.random_bool() { 127.0 } else { -127.0 } * s;
+        v
+    };
+    let query_mag = norm_cap(rng) / (dim as f64).sqrt();
+    match kind {
+        0 => {
+            let mag = norm_cap(rng) / (dim as f64).sqrt();
+            (random(rng, rows * dim, mag), random(rng, dim, query_mag))
+        }
+        1 => {
+            let s = step(rng);
+            let flat = on_grid(rng, rows * dim, s);
+            let qs = step(rng);
+            let query = if rng.random_bool() {
+                flat[..dim].iter().map(|&x| x / s * qs).collect()
+            } else {
+                on_grid(rng, dim, qs)
+            };
+            (flat, query)
+        }
+        2 => {
+            let mut flat = vec![0.0f32; rows * dim];
+            for row in flat.chunks_exact_mut(dim) {
+                row[rng.random_range(0..dim)] = (coord(rng) as f64 * norm_cap(rng)) as f32;
+            }
+            let query = if rng.random_bool() {
+                let mut q = vec![0.0f32; dim];
+                q[rng.random_range(0..dim)] = (coord(rng) as f64 * norm_cap(rng)) as f32;
+                q
+            } else {
+                random(rng, dim, query_mag)
+            };
+            (flat, query)
+        }
+        3 => {
+            let mag = norm_cap(rng) / (dim as f64).sqrt();
+            (random(rng, rows * dim, mag), vec![0.0; dim])
+        }
+        _ => (vec![0.0; rows * dim], random(rng, dim, query_mag)),
+    }
+}
+
+/// The padded residual-norm bound is never violated, and is never
+/// looser than the worst-case bound it replaced beyond its f32 rounding
+/// allowance: for every (query, row) pair over a `quantize_block`
+/// shadow, the dequantized int8 dot is within `B` of the exact f32 dot,
+/// and `B ≤ (W·(1 + 2⁻¹⁴) + γ·‖x‖·M)·(1 + 10⁻³) + 10⁻⁴` with `W =
+/// e_x·M + (‖x‖ + e_x)·e_y`, `e = (s/2)·√d`, and `γ = (⌈d/8⌉ + 6)·2⁻²³`.
+/// (`2⁻¹⁴` covers a component whose f32 quotient `x/s` rounds across a
+/// half-integer, so that it misses its grid point by up to
+/// `127·2⁻²⁴·s` more than `s/2`.) The grid runs wide and tall blocks
+/// first; generated cases draw every kind of [`bound_case`] at dims 1
+/// to 256.
 #[test]
 fn quant_error_bound_never_violated() {
     let body = |dim: usize, flat: &[f32], query: &[f32]| {
         let n = flat.len() / dim;
-        let (shadow, scale, max_norm) = quantize_block(dim, n, flat);
+        let block = quantize_block(dim, n, flat);
         let qq = QuantQuery::new(query);
-        let (qs, qn) = (qq.scale() as f64, qq.norm() as f64);
-        let bound = pair_error_bound(qs, qn, scale as f64, max_norm as f64, dim);
-        let factor = qq.scale() * scale;
+        let bound = pair_error_bound(&qq, &block);
+        let sqrt_d = (dim as f64).sqrt();
+        let (ex, ey) = (
+            0.5 * qq.scale() as f64 * sqrt_d,
+            0.5 * block.scale as f64 * sqrt_d,
+        );
+        let m = block.max_norm as f64;
+        let worst = ex * m + (qq.norm() + ex) * ey;
+        let gamma = (dim.div_ceil(8) + 6) as f64 / (1u64 << 23) as f64;
+        let loosest = (worst * (1.0 + 2f64.powi(-14)) + gamma * qq.norm() * m) * 1.001 + 1e-4;
+        assert!(
+            bound <= loosest,
+            "bound {bound} looser than the worst case {loosest} at dim {dim}"
+        );
+        let factor = qq.scale() * block.scale;
         for id in 0..n {
             let row = &flat[id * dim..(id + 1) * dim];
             let exact = dot(query, row) as f64;
             let approx =
-                (naive_dot_i8(qq.row(), &shadow[id * dim..(id + 1) * dim]) as f32 * factor) as f64;
+                (naive_dot_i8(qq.row(), &block_row(&block, dim, id)) as f32 * factor) as f64;
             assert!(
                 (exact - approx).abs() <= bound,
                 "bound violated at dim {dim} row {id}: |{exact} - {approx}| > {bound}"
@@ -286,17 +388,18 @@ fn quant_error_bound_never_violated() {
         let query: Vec<f32> = (0..dim).map(|_| coord(rng)).collect();
         body(dim, &flat, &query);
     }
-    check(256, 10, |rng| {
-        let rows = rng.vec(1..24, |r| r.vec(32..33, coord));
-        let query = rng.vec(32..33, coord);
-        body(32, &rows.concat(), &query);
+    check(512, 10, |rng| {
+        let dim = rng.random_range(1..257);
+        let rows = rng.random_range(1..24);
+        let kind = rng.random_range(0..5);
+        let (flat, query) = bound_case(rng, kind, rows, dim);
+        body(dim, &flat, &query);
     });
 }
 
 /// Every segment of `index` re-quantized with `quantize_block`: `q`'s
-/// error bound against the segment, the segment's scale and its int8
-/// shadow.
-fn segment_shadows(index: &SegmentedIndex, q: &QuantQuery) -> Vec<(f64, f32, Vec<i8>)> {
+/// error bound against the segment and the segment's shadow.
+fn segment_shadows(index: &SegmentedIndex, q: &QuantQuery) -> Vec<(f64, QuantBlock)> {
     let dim = index.dim();
     (0..index.num_segments())
         .map(|s| {
@@ -305,11 +408,13 @@ fn segment_shadows(index: &SegmentedIndex, q: &QuantQuery) -> Vec<(f64, f32, Vec
             let flat: Vec<f32> = (base..base + rows)
                 .flat_map(|id| index.vector(id).iter().copied())
                 .collect();
-            let (shadow, scale, max_norm) = quantize_block(dim, rows, &flat);
-            assert_eq!(scale.to_bits(), index.segment_scale(s).to_bits());
-            let (qs, qn) = (q.scale() as f64, q.norm() as f64);
-            let bound = pair_error_bound(qs, qn, scale as f64, max_norm as f64, dim);
-            (bound, scale, shadow)
+            let block = quantize_block(dim, rows, &flat);
+            assert_eq!(block.scale.to_bits(), index.segment_scale(s).to_bits());
+            assert_eq!(
+                block.max_resid.to_bits(),
+                index.segment_max_resid(s).to_bits()
+            );
+            (pair_error_bound(q, &block), block)
         })
         .collect()
 }
@@ -317,9 +422,10 @@ fn segment_shadows(index: &SegmentedIndex, q: &QuantQuery) -> Vec<(f64, f32, Vec
 /// How many documents the two-stage scan must rerank, counted from the
 /// definition with public building blocks only: every document screened
 /// with a naive i32 dot against its re-quantized segment plus its
-/// jitter, `θ̂`
-/// the k-th best screened score (−∞ when k > n), and the count of
-/// documents screening at or above `θ̂ − 2·B_max`.
+/// jitter, `θ̂` the k-th best screened score (−∞ when k > n), `B_max`
+/// the largest residual-norm bound ([`pair_error_bound`]) of the query
+/// over the segments, and the count of documents screening at or above
+/// `θ̂ − 2·B_max`.
 fn reranked_by_definition(
     index: &SegmentedIndex,
     query: &[f32],
@@ -332,10 +438,11 @@ fn reranked_by_definition(
     let shadows = segment_shadows(index, &qq);
     let b_max = shadows.iter().map(|s| s.0).fold(0.0, f64::max);
     let mut screened: Vec<f32> = Vec::with_capacity(index.len());
-    for (s, (_, scale, shadow)) in shadows.iter().enumerate() {
-        let factor = qq.scale() * scale;
-        for (r, row) in shadow.chunks_exact(dim).enumerate() {
-            let mut score = naive_dot_i8(qq.row(), row) as f32 * factor;
+    for (s, (_, block)) in shadows.iter().enumerate() {
+        let factor = qq.scale() * block.scale;
+        for r in 0..index.segment_rows(s) {
+            let row = block_row(block, dim, r);
+            let mut score = naive_dot_i8(qq.row(), &row) as f32 * factor;
             if sigma > 0.0 {
                 score += jitter(salt, s * index.seg_rows() + r, sigma);
             }
@@ -585,6 +692,10 @@ fn segmented_parallel_build_equals_serial() {
             assert_eq!(
                 serial.segment_max_norm(s).to_bits(),
                 parallel.segment_max_norm(s).to_bits()
+            );
+            assert_eq!(
+                serial.segment_max_resid(s).to_bits(),
+                parallel.segment_max_resid(s).to_bits()
             );
         }
     });
