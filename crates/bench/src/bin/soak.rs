@@ -9,7 +9,9 @@
 //! * degradation is monotone-sane: the highest load never sheds a
 //!   smaller fraction than the lowest load under the same weather;
 //! * outcomes byte-identical with 1 vs 8 worker threads (the DES
-//!   determinism contract, checked via [`ServeReport::identity_key`]).
+//!   determinism contract, checked via [`ServeReport::identity_key`]),
+//!   with the same grounding `search_batch` calls (each question grounds
+//!   on its own, so the calls do not depend on scheduling either).
 //!
 //! All latencies are *virtual* milliseconds on the seeded clock, so the
 //! whole sweep is reproducible bit-for-bit.
@@ -59,7 +61,7 @@ struct Arm {
     load_qps: f64,
     weather: Weather,
     report: ServeReport,
-    /// identity_key(workers=1) == identity_key(workers=8).
+    /// identity_key and batch telemetry equal for workers=1 and 8.
     identity_ok: bool,
 }
 
@@ -96,7 +98,7 @@ fn run_arm(
     };
     let one = run(1);
     let eight = run(8);
-    let identity_ok = one.identity_key() == eight.identity_key();
+    let identity_ok = one.identity_key() == eight.identity_key() && one.batch == eight.batch;
     Arm {
         load_qps,
         weather,
@@ -110,7 +112,9 @@ fn check_arm(a: &Arm) -> Vec<String> {
     let tag = format!("load {:.0} q/s, {}", a.load_qps, a.weather.label());
     let mut bad = Vec::new();
     if !a.identity_ok {
-        bad.push(format!("{tag}: outcomes differ between 1 and 8 workers"));
+        bad.push(format!(
+            "{tag}: outcomes or grounding calls differ between 1 and 8 workers"
+        ));
     }
     for o in &a.report.outcomes {
         if let Disposition::Answered {

@@ -4,7 +4,6 @@
 use crate::method::{Method, MethodOutput, QaContext, Trace};
 use crate::resilience::{best_effort_answer, complete_or_degrade, ResilientLlm};
 use evalkit::normalize_answer;
-use kgstore::hash::FxHashMap;
 use kgstore::StrTriple;
 use simllm::{prompt, LlmTask};
 use worldgen::Question;
@@ -108,22 +107,15 @@ impl Method for SelfConsistency {
                 trace,
             };
         }
-        let mut votes: FxHashMap<String, usize> = FxHashMap::default();
-        for s in &samples {
-            *votes.entry(normalize_answer(s)).or_default() += 1;
-        }
-        let winner_key = votes
-            // detlint: allow(DL001) the winner among full (count, len)
-            // ties follows the map's deterministic Fx iteration; a new
-            // tie-break would silently change published answers.
-            .iter()
-            .max_by_key(|(k, &v)| (v, std::cmp::Reverse(k.len())))
-            .map(|(k, _)| k.clone())
-            .unwrap_or_default();
-        let answer = samples
-            .into_iter()
-            .find(|s| normalize_answer(s) == winner_key)
-            .unwrap_or_default();
+        // The most votes win, then the shorter normalised answer, then
+        // the answer sampled first; the winning sample is that answer's
+        // first.
+        let keys: Vec<String> = samples.iter().map(|s| normalize_answer(s)).collect();
+        let votes = |key: &String| keys.iter().filter(|k| *k == key).count();
+        let winner = (0..keys.len())
+            .min_by_key(|&i| (std::cmp::Reverse(votes(&keys[i])), keys[i].len(), i))
+            .expect("samples is non-empty");
+        let answer = samples.swap_remove(winner);
         MethodOutput { answer, trace }
     }
 }
@@ -207,7 +199,7 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use semvec::Embedder;
-    use simllm::{ModelProfile, SimLlm};
+    use simllm::{Completion, LanguageModel, LlmError, ModelProfile, SimLlm};
     use std::sync::Arc;
     use worldgen::{datasets::simpleq, derive, generate, SourceConfig, WorldConfig};
 
@@ -256,6 +248,50 @@ mod tests {
             let a = SelfConsistency.answer(&ctx, q).answer;
             let b = SelfConsistency.answer(&ctx, q).answer;
             assert_eq!(a, b);
+        }
+    }
+
+    /// Answers self-consistency sample `i` with `self.0[i]`.
+    struct Scripted(&'static [&'static str]);
+
+    impl LanguageModel for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn complete(&self, _: &str, task: &LlmTask<'_>) -> Result<Completion, LlmError> {
+            Ok(Completion {
+                text: self.0[task.sample_index() as usize].to_string(),
+            })
+        }
+        fn call_count(&self) -> usize {
+            0
+        }
+        fn tokens_processed(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn sc_vote_prefers_count_then_shorter_then_first_sampled() {
+        let (world, _, src) = setup();
+        let emb = Embedder::default();
+        let cfg = PipelineConfig::default();
+        let q = &simpleq::generate(&world, 1, 3).questions[0];
+        for (samples, want) in [
+            (&["Paris", "Oslo", "Oslo"][..], "Oslo"),
+            (&["Paris", "Lyon", "Rome"], "Lyon"),
+            (&["Rome", "Oslo", "Paris"], "Rome"),
+            (&["Oslo", "Rome", "Paris"], "Oslo"),
+        ] {
+            let llm = Scripted(samples);
+            let ctx = QaContext {
+                llm: &llm,
+                source: Some(&src),
+                base: None,
+                embedder: &emb,
+                cfg: &cfg,
+            };
+            assert_eq!(SelfConsistency.answer(&ctx, q).answer, want, "{samples:?}");
         }
     }
 

@@ -7,12 +7,11 @@
 //! `drive` is the one composition of the four stages. The runner calls
 //! it through [`PseudoGraphPipeline`]'s [`Method::answer`] with an
 //! unbounded budget; each serving worker calls it with the time left to
-//! the question's deadline and the admission batcher as the grounding
-//! hook.
+//! the question's deadline.
 
 use crate::method::{Method, MethodOutput, QaContext, StageTiming, Trace};
 use crate::resilience::{best_effort_answer, complete_or_degrade, ResilientLlm};
-use crate::retrieval::{ground_graph_with, BaseIndex, GroundBatchFn};
+use crate::retrieval::{ground_graph, BaseIndex};
 use cypher::{extract_cypher, Executor, Mode, Severity};
 use kgstore::StrTriple;
 use simllm::{parse_triple_lines, prompt, GroundGraph, LlmTask};
@@ -85,15 +84,11 @@ pub(crate) const QUERY_COST_MS: u64 = 2;
 ///   likewise;
 /// * budget burned before answering ⇒ `deadline:best-effort-answer`,
 ///   the answer is assembled from the graph without another LLM call.
-///
-/// `batch_fn` substitutes for grounding's one batched retrieval call
-/// ([`GroundBatchFn`]); `None` queries the base directly.
 pub(crate) fn drive(
     ctx: &QaContext<'_>,
     q: &Question,
     stages: Stages,
     budget_ms: u64,
-    batch_fn: Option<&GroundBatchFn<'_>>,
 ) -> MethodOutput {
     // Question-scoped middleware: breaker state and the virtual clock
     // live and die with this one answer, so a parallel run's schedule
@@ -118,7 +113,7 @@ pub(crate) fn drive(
                 // Step 2 — Semantic Querying + two-step pruning.
                 let ground = timed(&rl, &mut trace, "ground", |t| {
                     let base = ctx.base_for(&q.text);
-                    let ground = ground_stage(ctx, &base, &pseudo, batch_fn, t);
+                    let ground = ground_stage(ctx, &base, &pseudo, t);
                     if !pseudo.is_empty() && !base.is_empty() {
                         // One query slot per pseudo triple, exactly
                         // the slots grounding searched.
@@ -254,20 +249,17 @@ fn pseudo_graph_stage(
     }
 }
 
-/// Step 2: semantic querying + two-step pruning against the base index,
-/// recording the retrieval diagnostics in the trace. `batch_fn`
-/// substitutes for the one batched retrieval call grounding makes
-/// ([`crate::retrieval::GroundBatchFn`]) — the serving layer's
-/// admission batcher hooks in here; `None` queries the base directly.
+/// Step 2: semantic querying + two-step pruning against the base index
+/// (one `search_batch` call for all of the question's pseudo-triples),
+/// recording the retrieval diagnostics in the trace.
 fn ground_stage(
     ctx: &QaContext<'_>,
     base: &BaseIndex,
     pseudo: &[StrTriple],
-    batch_fn: Option<&GroundBatchFn<'_>>,
     trace: &mut Trace,
 ) -> GroundGraph {
     let source = ctx.source.expect("full pipeline needs a KG source");
-    let (ground, stats) = ground_graph_with(source, base, ctx.embedder, ctx.cfg, pseudo, batch_fn);
+    let (ground, stats) = ground_graph(source, base, ctx.embedder, ctx.cfg, pseudo);
     trace.base_triples = stats.base_triples;
     trace.ground_entities = ground
         .entities
@@ -433,7 +425,7 @@ impl Method for PseudoGraphPipeline {
     }
 
     fn answer(&self, ctx: &QaContext<'_>, q: &Question) -> MethodOutput {
-        drive(ctx, q, self.stages, u64::MAX, None)
+        drive(ctx, q, self.stages, u64::MAX)
     }
 }
 
@@ -862,7 +854,7 @@ mod tests {
             };
             for stages in [Stages::Full, Stages::PseudoOnly] {
                 for q in &ds.questions {
-                    let out = drive(&ctx, q, stages, u64::MAX, None);
+                    let out = drive(&ctx, q, stages, u64::MAX);
                     let calls = &out.trace.llm_calls;
                     let mut runs: Vec<&str> = Vec::new();
                     for (i, c) in calls.iter().enumerate() {
@@ -925,7 +917,7 @@ mod tests {
         };
         let ds = simpleq::generate(&world, 5, 21);
         for q in &ds.questions {
-            let out = drive(&ctx, q, Stages::Full, u64::MAX, None);
+            let out = drive(&ctx, q, Stages::Full, u64::MAX);
             assert!(!out.answer.is_empty());
             assert!(
                 out.trace
@@ -958,7 +950,7 @@ mod tests {
         };
         let ds = simpleq::generate(&world, 5, 22);
         for q in &ds.questions {
-            let out = drive(&ctx, q, Stages::Full, 1, None);
+            let out = drive(&ctx, q, Stages::Full, 1);
             assert!(!out.answer.is_empty(), "degraded, never missing");
             assert!(out
                 .trace
@@ -991,9 +983,9 @@ mod tests {
         for q in &ds.questions {
             // Enough for pseudo (overhead + 1 attempt) + the ground
             // stage, not for verification.
-            let full = drive(&ctx, q, Stages::Full, u64::MAX, None);
+            let full = drive(&ctx, q, Stages::Full, u64::MAX);
             let pseudo_cost = STAGE_OVERHEAD_MS + ATTEMPT_COST_MS; // one clean attempt
-            let out = drive(&ctx, q, Stages::Full, pseudo_cost + 1, None);
+            let out = drive(&ctx, q, Stages::Full, pseudo_cost + 1);
             assert!(!out.answer.is_empty());
             if out
                 .trace
@@ -1025,8 +1017,8 @@ mod tests {
         let ds = simpleq::generate(&world, 4, 24);
         for q in &ds.questions {
             for budget in [1u64, 150, 400, u64::MAX] {
-                let a = drive(&ctx, q, Stages::Full, budget, None);
-                let b = drive(&ctx, q, Stages::Full, budget, None);
+                let a = drive(&ctx, q, Stages::Full, budget);
+                let b = drive(&ctx, q, Stages::Full, budget);
                 assert_eq!(a.answer, b.answer);
                 assert_eq!(a.trace.virtual_ms(), b.trace.virtual_ms());
                 assert_eq!(a.trace.degradation, b.trace.degradation);

@@ -409,9 +409,9 @@ pub struct RetrievalStats {
 /// A substitute executor for the one batched retrieval call a question
 /// makes during grounding: hands back, slot for slot, exactly what
 /// [`BaseIndex::search_batch`] would return for these slots with the
-/// pipeline's (k, sigma). The serving layer routes this
-/// through its cross-question admission batcher; the bit-identity
-/// contract of `search_batch` makes the substitution outcome-neutral.
+/// pipeline's (k, sigma). The pipeline never substitutes one; the
+/// grounding tests pass the naive oracle through it, and the QA
+/// benchmark's traced replay (`qabench/`) a timed `search_batch`.
 pub type GroundBatchFn<'h> = dyn Fn(&[QuerySlot<'_>]) -> Vec<Vec<Hit>> + 'h;
 
 /// Run semantic querying + two-step pruning for one question against a

@@ -6,9 +6,9 @@
 //! advances a virtual event clock over two event kinds: *arrival*
 //! (admit, shed, or queue) and *completion* (record the outcome, feed
 //! the breaker, start the next queued job). Workers only evaluate
-//! dispatched jobs — `drive` from [`crate::pipeline`], a pure
-//! `(question, budget) → output` function — and send results back over
-//! a channel.
+//! dispatched jobs — one `drive` call from [`crate::pipeline`] per
+//! question, the pure `(question, budget) → output` function the runner
+//! also calls — and send results back over a channel.
 //!
 //! The loop never acts on an event until every completion that could
 //! precede it is known: each in-flight job finishes no earlier than
@@ -21,9 +21,10 @@
 use crate::method::{MethodOutput, QaContext};
 use crate::pipeline::{drive, Stages, STAGE_OVERHEAD_MS};
 use crate::resilience::{best_effort_answer, Admit, Breaker, BreakerState};
-use crate::retrieval::{BaseIndex, QuerySlot};
-use crate::serve::batcher::GroundBroker;
-use crate::serve::{Disposition, OfferedTrace, Outcome, ServeConfig, ServeReport, ShedReason};
+use crate::retrieval::BaseIndex;
+use crate::serve::{
+    BatchTelemetry, Disposition, OfferedTrace, Outcome, ServeConfig, ServeReport, ShedReason,
+};
 use crate::PipelineConfig;
 use kgstore::hash::FxHashMap;
 use kgstore::KgSource;
@@ -102,24 +103,14 @@ impl Board {
 
 fn worker_loop(
     board: &Board,
-    broker: &GroundBroker<'_>,
     ctx: &QaContext<'_>,
     questions: &[Question],
     tx: mpsc::Sender<JobResult>,
 ) {
-    let via_broker = |slots: &[QuerySlot<'_>]| broker.submit(slots);
     while let Some(job) = board.take() {
-        broker.enroll();
         let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            drive(
-                ctx,
-                &questions[job.offered],
-                Stages::Full,
-                job.budget_ms,
-                Some(&via_broker),
-            )
+            drive(ctx, &questions[job.offered], Stages::Full, job.budget_ms)
         }));
-        broker.leave();
         let outcome = res.map_err(|payload| {
             payload
                 .downcast_ref::<&str>()
@@ -161,7 +152,12 @@ struct Finished {
 /// index (callers typically hold it in an `Arc` and serve many traces
 /// from the same build). Returns per-arrival outcomes in offered
 /// order; same `questions` + `offered` + configs ⇒ a byte-identical
-/// report (minus batch telemetry) for any worker count.
+/// report for any worker count.
+///
+/// # Panics
+///
+/// If there are arrivals but no questions, or no virtual servers (the
+/// queue would never drain).
 #[allow(clippy::too_many_arguments)] // mirrors QaContext + the serve knobs
 pub fn serve(
     llm: &dyn LanguageModel,
@@ -177,6 +173,10 @@ pub fn serve(
     assert!(
         n == 0 || !questions.is_empty(),
         "serving arrivals needs at least one question"
+    );
+    assert!(
+        scfg.virtual_servers > 0,
+        "serving needs at least one virtual server"
     );
     // Each offered arrival serves a clone with a unique id: the fault
     // plan and the simulated model key on the question id, so two
@@ -199,7 +199,6 @@ pub fn serve(
         embedder,
         cfg,
     };
-    let broker = GroundBroker::new(base, embedder, cfg);
     let board = Board::new();
     let (tx, rx) = mpsc::channel::<JobResult>();
     let workers = if scfg.workers == 0 {
@@ -210,17 +209,25 @@ pub fn serve(
         scfg.workers
     };
 
-    std::thread::scope(|s| {
+    let before = base.scoring_stats();
+    let mut report = std::thread::scope(|s| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let (board, broker, ctx, qs) = (&board, &broker, &ctx, &offered_questions);
-            s.spawn(move || worker_loop(board, broker, ctx, qs, tx));
+            let (board, ctx, qs) = (&board, &ctx, &offered_questions);
+            s.spawn(move || worker_loop(board, ctx, qs, tx));
         }
-        let mut report = event_loop(scfg, offered, questions, &board, &rx);
-        report.batch = broker.telemetry();
+        let report = event_loop(scfg, offered, questions, &board, &rx);
         board.close();
         report
-    })
+    });
+    // Every dispatched job has reported back, so every grounding
+    // search of this run is in the delta.
+    let after = base.scoring_stats();
+    report.batch = BatchTelemetry {
+        batches: after.batches - before.batches,
+        slots: after.batch_slots - before.batch_slots,
+    };
+    report
 }
 
 /// Fold one worker result into the completion heap.
@@ -304,7 +311,7 @@ fn event_loop(
             while busy < scfg.virtual_servers {
                 let Some(idx) = queue.pop_front() else { break };
                 busy += 1;
-                let deadline_abs = offered.arrivals[idx].at_ms + scfg.deadline_ms;
+                let deadline_abs = offered.arrivals[idx].at_ms.saturating_add(scfg.deadline_ms);
                 let seq = next_seq;
                 next_seq += 1;
                 if $t >= deadline_abs {
@@ -467,7 +474,7 @@ fn event_loop(
             .collect(),
         breaker_transitions: breaker.transitions().to_vec(),
         makespan_ms: now,
-        batch: crate::serve::BatchTelemetry::default(),
+        batch: BatchTelemetry::default(),
     }
 }
 
@@ -699,6 +706,29 @@ mod tests {
         assert!(
             expired_in_queue > 0,
             "the backlog behind one slow server must expire some queued questions"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one virtual server")]
+    fn zero_virtual_servers_is_rejected() {
+        let fx = fixture(2, 36);
+        let llm = SimLlm::new(fx.world.clone(), ModelProfile::gpt35_sim());
+        let offered = OfferedTrace::poisson(3, 2.0, 4, fx.questions.len());
+        let scfg = ServeConfig {
+            virtual_servers: 0,
+            workers: 1,
+            ..Default::default()
+        };
+        serve(
+            &llm,
+            &fx.src,
+            &fx.base,
+            &fx.emb,
+            &fx.cfg,
+            &scfg,
+            &fx.questions,
+            &offered,
         );
     }
 

@@ -22,16 +22,12 @@
 //! time before acting on them. Same seed + same offered trace ⇒
 //! byte-identical per-question outcomes for any worker count.
 //!
-//! The one cross-question coupling — the admission batcher that
-//! coalesces grounding retrievals of concurrently-executing questions
-//! into one [`BaseIndex::search_batch`] call — is outcome-neutral by
-//! `search_batch`'s per-slot bit-identity contract; only the
-//! [`BatchTelemetry`] (how wide the batches happened to be) depends on
-//! scheduling, and it is excluded from [`ServeReport::identity_key`].
+//! Workers never wait on each other: each runs `drive` on its own
+//! question, as the evaluation runner does, and grounds it with its
+//! own [`BaseIndex::search_batch`] call.
 //!
 //! [`BaseIndex::search_batch`]: crate::retrieval::BaseIndex::search_batch
 
-mod batcher;
 mod engine;
 
 pub use engine::serve;
@@ -184,18 +180,17 @@ impl Outcome {
     }
 }
 
-/// Admission-batcher telemetry. Batch composition depends on real
-/// scheduling (which questions happened to overlap), so these numbers
-/// may vary run to run and are excluded from
-/// [`ServeReport::identity_key`].
-#[derive(Debug, Clone, Default)]
+/// Grounding retrieval of one [`serve`] run, read off the base
+/// index's [`ScoringStats`](crate::ScoringStats) when the run ends: one
+/// `search_batch` call per question that grounded. The base's counters
+/// are shared with anything else searching it meanwhile, so these stay
+/// out of [`ServeReport::identity_key`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchTelemetry {
-    /// Coalesced `search_batch` calls issued.
+    /// `search_batch` calls.
     pub batches: u64,
     /// Grounding query slots carried by those calls.
     pub slots: u64,
-    /// Most enrolled questions sharing one call.
-    pub widest: usize,
 }
 
 /// Everything one [`serve`] run produced.
@@ -207,8 +202,8 @@ pub struct ServeReport {
     pub breaker_transitions: Vec<BreakerTransition>,
     /// Virtual time of the last event.
     pub makespan_ms: u64,
-    /// Admission-batcher telemetry (scheduling-dependent; excluded
-    /// from [`identity_key`](Self::identity_key)).
+    /// Grounding retrieval telemetry (excluded from
+    /// [`identity_key`](Self::identity_key)).
     pub batch: BatchTelemetry,
 }
 

@@ -7,7 +7,7 @@
 //! plus the determinism contracts of both execution layers: serving
 //! outcomes byte-identical for any worker count, and evaluation-runner
 //! results byte-identical for any thread count, under any fault
-//! weather.
+//! weather — and serving answers equal to the runner's.
 //!
 //! Each property runs [`check`] over generated inputs; where a fixed
 //! sweep of corner cases is worth pinning (empty and wide batches,
@@ -15,8 +15,8 @@
 
 use kgstore::rng::check;
 use pgg_core::{
-    paper, serve, BaseIndex, Disposition, OfferedTrace, PipelineConfig, PseudoGraphPipeline,
-    QuerySlot, RetrievalMode, RunResult, ScoringMode, ServeConfig,
+    paper, serve, BaseIndex, Disposition, Method, OfferedTrace, PipelineConfig,
+    PseudoGraphPipeline, QaContext, QuerySlot, RetrievalMode, RunResult, ScoringMode, ServeConfig,
 };
 use semvec::{reference_top_k, Embedder, Hit, NoisyQuery, QueryStyle, SegmentedIndex};
 use simllm::{FaultPlan, FaultyLlm, ModelProfile, SimLlm};
@@ -354,12 +354,14 @@ fn serve_once(
     rate: f64,
     load_qps: f64,
     workers: usize,
+    deadline_ms: u64,
 ) -> pgg_core::ServeReport {
     let offered = OfferedTrace::poisson(seed, load_qps, 16, fix.dataset.len());
     let llm = SimLlm::new(fix.world.clone(), ModelProfile::gpt35_sim());
-    let faulty = FaultyLlm::new(llm, FaultPlan::uniform(seed ^ 0xFA57, rate));
+    let faulty = FaultyLlm::new(llm, serve_faults(seed, rate));
     let scfg = ServeConfig {
         workers,
+        deadline_ms,
         ..ServeConfig::default()
     };
     serve(
@@ -383,9 +385,10 @@ fn serve_once(
 fn serve_outcomes_are_identical_across_worker_counts() {
     let body = |seed: u64, rate: f64, load_qps: f64| {
         let fix = serve_fixture();
-        let r1 = serve_once(fix, seed, rate, load_qps, 1);
-        let r2 = serve_once(fix, seed, rate, load_qps, 2);
-        let r8 = serve_once(fix, seed, rate, load_qps, 8);
+        let deadline_ms = ServeConfig::default().deadline_ms;
+        let r1 = serve_once(fix, seed, rate, load_qps, 1, deadline_ms);
+        let r2 = serve_once(fix, seed, rate, load_qps, 2, deadline_ms);
+        let r8 = serve_once(fix, seed, rate, load_qps, 8, deadline_ms);
         let at = format!("seed={seed} rate={rate} load={load_qps}");
         assert_eq!(r1.outcomes, r2.outcomes, "1 vs 2 workers diverged: {at}");
         assert_eq!(r1.outcomes, r8.outcomes, "1 vs 8 workers diverged: {at}");
@@ -417,6 +420,62 @@ fn serve_outcomes_are_identical_across_worker_counts() {
         let load_qps = 2.0 + rng.random_f64() * 10.0;
         body(seed, rate, load_qps);
     });
+}
+
+/// The fault plan of [`serve_once`]'s decorator.
+fn serve_faults(seed: u64, rate: f64) -> FaultPlan {
+    FaultPlan::uniform(seed ^ 0xFA57, rate)
+}
+
+/// One call path: with no deadline to bite, every question the server
+/// answers carries the answer, degradation notes, attempts and faults
+/// of the runner's pipeline on the same offered clone (`<id>#o<i>`),
+/// run under a fresh decorator with the same fault plan.
+#[test]
+fn serve_answers_as_the_runner_does() {
+    let fix = serve_fixture();
+    for rate in [0.0, 0.35] {
+        let seed = 7;
+        let report = serve_once(fix, seed, rate, 8.0, 2, u64::MAX);
+        let llm = SimLlm::new(fix.world.clone(), ModelProfile::gpt35_sim());
+        let faulty = FaultyLlm::new(llm, serve_faults(seed, rate));
+        let ctx = QaContext {
+            llm: &faulty,
+            source: Some(&fix.source),
+            base: Some(&fix.base),
+            embedder: &fix.embedder,
+            cfg: &fix.cfg,
+        };
+        let mut answered = 0;
+        for o in &report.outcomes {
+            let Disposition::Answered {
+                answer,
+                degradation,
+                attempts,
+                faults,
+                ..
+            } = &o.disposition
+            else {
+                continue;
+            };
+            let mut q = fix
+                .dataset
+                .questions
+                .iter()
+                .find(|q| q.id == o.qid)
+                .expect("outcomes name dataset questions")
+                .clone();
+            q.id = format!("{}#o{}", q.id, o.offered);
+            let want = PseudoGraphPipeline::full().answer(&ctx, &q);
+            let at = format!("rate={rate} {}", q.id);
+            assert_eq!(answer, &want.answer, "{at}");
+            assert_eq!(degradation, &want.trace.degradation, "{at}");
+            assert_eq!(*attempts, want.trace.total_attempts(), "{at}");
+            assert_eq!(*faults, want.trace.total_faults(), "{at}");
+            answered += 1;
+        }
+        assert!(answered > 0, "rate={rate}: nothing answered");
+    }
 }
 
 fn runner_fixture() -> &'static SmallFixture {
