@@ -62,12 +62,6 @@ pub enum CypherError {
         /// Where the `MATCH` was found.
         pos: Pos,
     },
-    /// Execution referenced something inconsistent (e.g. relationship
-    /// between patterns that never created a node).
-    Exec {
-        /// Human-readable message.
-        msg: String,
-    },
 }
 
 impl CypherError {
@@ -82,7 +76,6 @@ impl CypherError {
             CypherError::Lex { .. } => "lex",
             CypherError::Parse { .. } => "parse",
             CypherError::SpuriousMatch { .. } => "spurious-match",
-            CypherError::Exec { .. } => "exec",
         }
     }
 }
@@ -107,7 +100,6 @@ impl fmt::Display for CypherError {
                     "spurious MATCH at {pos}: pseudo-graph scripts must only CREATE"
                 )
             }
-            CypherError::Exec { msg } => write!(f, "execution error: {msg}"),
         }
     }
 }
@@ -129,7 +121,11 @@ mod tests {
             "spurious-match"
         );
         assert!(CypherError::SpuriousMatch { pos: p }.is_spurious_match());
-        assert!(!CypherError::Exec { msg: "x".into() }.is_spurious_match());
+        assert!(!CypherError::Lex {
+            pos: p,
+            msg: "x".into()
+        }
+        .is_spurious_match());
     }
 
     #[test]

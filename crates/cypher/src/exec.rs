@@ -1,5 +1,6 @@
-//! Executor: materialise `CREATE` statements into a
-//! [`kgstore::PropertyGraph`] and evaluate `MATCH … RETURN` queries.
+//! Executor: materialise `CREATE` and `MERGE` statements into a
+//! [`kgstore::PropertyGraph`]. It is a construction-only engine: a
+//! `MATCH` parses (so `cylint` can flag and repair it) but never runs.
 //!
 //! Semantics follow what the paper's use of Neo4j requires, with one
 //! LLM-friendly leniency: re-using a bound variable in a later `CREATE`
@@ -9,27 +10,15 @@
 use crate::ast::*;
 use crate::error::{CypherError, Result};
 use kgstore::hash::FxHashMap;
-use kgstore::{Node, NodeId, PropertyGraph, Relationship, Value};
+use kgstore::{Node, NodeId, PropertyGraph, Relationship};
 
-/// Execution mode: whether `MATCH` is allowed.
+/// Execution mode. Pseudo-graph construction is the only one: a
+/// `MATCH` raises [`CypherError::SpuriousMatch`] (the paper's §4.6.1
+/// error).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Full engine: `CREATE` and `MATCH` both work.
-    Full,
-    /// Pseudo-graph construction: only `CREATE` is legal; a `MATCH`
-    /// raises [`CypherError::SpuriousMatch`] (the paper's §4.6.1 error).
+    /// Only `CREATE` and `MERGE` are legal.
     CreateOnly,
-}
-
-/// One row of a `MATCH … RETURN` result.
-pub type Row = Vec<Value>;
-
-/// The result of running a script.
-#[derive(Debug, Default)]
-pub struct ExecOutput {
-    /// Rows produced by `MATCH … RETURN` statements (empty in
-    /// [`Mode::CreateOnly`]).
-    pub rows: Vec<Row>,
 }
 
 /// A stateful executor holding the graph and variable bindings.
@@ -55,32 +44,24 @@ impl Executor {
         self.graph
     }
 
-    /// Run a whole script.
-    pub fn run(&mut self, script: &Script, mode: Mode) -> Result<ExecOutput> {
-        let mut out = ExecOutput::default();
+    /// Run a whole script, stopping at the first `MATCH`.
+    pub fn run(&mut self, script: &Script, mode: Mode) -> Result<()> {
+        let Mode::CreateOnly = mode;
         for stmt in &script.statements {
             match stmt {
-                Statement::Create(patterns) => self.run_create(patterns, false)?,
-                Statement::Merge(patterns) => self.run_create(patterns, true)?,
-                Statement::Match {
-                    patterns,
-                    conditions,
-                    returns,
-                } => {
-                    if mode == Mode::CreateOnly {
-                        return Err(CypherError::SpuriousMatch {
-                            pos: crate::error::Pos::default(),
-                        });
-                    }
-                    out.rows
-                        .extend(self.run_match(patterns, conditions, returns)?);
+                Statement::Create(patterns) => self.run_create(patterns, false),
+                Statement::Merge(patterns) => self.run_create(patterns, true),
+                Statement::Match { .. } => {
+                    return Err(CypherError::SpuriousMatch {
+                        pos: crate::error::Pos::default(),
+                    })
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn run_create(&mut self, patterns: &[PathPattern], merge: bool) -> Result<()> {
+    fn run_create(&mut self, patterns: &[PathPattern], merge: bool) {
         for path in patterns {
             let mut prev = self.materialize_node(&path.start, merge);
             for (rel, node) in &path.hops {
@@ -101,7 +82,6 @@ impl Executor {
                 prev = next;
             }
         }
-        Ok(())
     }
 
     /// Create or re-use the node a pattern denotes; merge labels/props
@@ -151,188 +131,6 @@ impl Executor {
         }
         id
     }
-
-    fn run_match(
-        &self,
-        patterns: &[PathPattern],
-        conditions: &[Condition],
-        returns: &[ReturnItem],
-    ) -> Result<Vec<Row>> {
-        // Backtracking match over all patterns jointly, then WHERE
-        // filtering at projection time.
-        let mut rows = Vec::new();
-        let mut env: FxHashMap<String, NodeId> = FxHashMap::default();
-        self.match_patterns(patterns, 0, &mut env, conditions, returns, &mut rows)?;
-        Ok(rows)
-    }
-
-    fn conditions_hold(&self, env: &FxHashMap<String, NodeId>, conditions: &[Condition]) -> bool {
-        conditions.iter().all(|c| {
-            env.get(&c.var).is_some_and(|&id| {
-                self.graph
-                    .node(id)
-                    .props
-                    .get(&c.prop)
-                    .is_some_and(|v| *v == c.value)
-            })
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn match_patterns(
-        &self,
-        patterns: &[PathPattern],
-        idx: usize,
-        env: &mut FxHashMap<String, NodeId>,
-        conditions: &[Condition],
-        returns: &[ReturnItem],
-        rows: &mut Vec<Row>,
-    ) -> Result<()> {
-        if idx == patterns.len() {
-            if self.conditions_hold(env, conditions) {
-                rows.push(self.project(env, returns)?);
-            }
-            return Ok(());
-        }
-        let path = &patterns[idx];
-        let candidates = self.node_candidates(&path.start, env);
-        for start in candidates {
-            let mut trail = vec![(path.start.var.clone(), start)];
-            self.match_hops(
-                path, 0, start, env, &mut trail, patterns, idx, conditions, returns, rows,
-            )?;
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn match_hops(
-        &self,
-        path: &PathPattern,
-        hop: usize,
-        at: NodeId,
-        env: &mut FxHashMap<String, NodeId>,
-        trail: &mut Vec<(Option<String>, NodeId)>,
-        patterns: &[PathPattern],
-        idx: usize,
-        conditions: &[Condition],
-        returns: &[ReturnItem],
-        rows: &mut Vec<Row>,
-    ) -> Result<()> {
-        if hop == path.hops.len() {
-            // Commit bindings in the trail, recurse to next pattern.
-            let mut added = Vec::new();
-            let mut ok = true;
-            for (var, id) in trail.iter() {
-                if let Some(v) = var {
-                    match env.get(v) {
-                        Some(&bound) if bound != *id => {
-                            ok = false;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => {
-                            env.insert(v.clone(), *id);
-                            added.push(v.clone());
-                        }
-                    }
-                }
-            }
-            if ok {
-                self.match_patterns(patterns, idx + 1, env, conditions, returns, rows)?;
-            }
-            for v in added {
-                env.remove(&v);
-            }
-            return Ok(());
-        }
-        let (rel, node_pat) = &path.hops[hop];
-        for r in self.graph.rels() {
-            let (from, to) = match rel.direction {
-                Direction::Out => (r.src, r.dst),
-                Direction::In => (r.dst, r.src),
-            };
-            if from != at {
-                continue;
-            }
-            if let Some(t) = &rel.rel_type {
-                if &r.rel_type != t {
-                    continue;
-                }
-            }
-            if !self.node_matches(to, node_pat, env) {
-                continue;
-            }
-            trail.push((node_pat.var.clone(), to));
-            self.match_hops(
-                path,
-                hop + 1,
-                to,
-                env,
-                trail,
-                patterns,
-                idx,
-                conditions,
-                returns,
-                rows,
-            )?;
-            trail.pop();
-        }
-        Ok(())
-    }
-
-    fn node_candidates(&self, pat: &NodePattern, env: &FxHashMap<String, NodeId>) -> Vec<NodeId> {
-        if let Some(var) = &pat.var {
-            if let Some(&id) = env.get(var) {
-                return if self.node_matches(id, pat, env) {
-                    vec![id]
-                } else {
-                    vec![]
-                };
-            }
-        }
-        self.graph
-            .nodes()
-            .filter(|(id, _)| self.node_matches(*id, pat, env))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    fn node_matches(&self, id: NodeId, pat: &NodePattern, env: &FxHashMap<String, NodeId>) -> bool {
-        if let Some(var) = &pat.var {
-            if let Some(&bound) = env.get(var) {
-                if bound != id {
-                    return false;
-                }
-            }
-        }
-        let node = self.graph.node(id);
-        pat.labels.iter().all(|l| node.labels.contains(l))
-            && pat
-                .props
-                .iter()
-                .all(|(k, v)| node.props.get(k).is_some_and(|nv| nv == v))
-    }
-
-    fn project(&self, env: &FxHashMap<String, NodeId>, returns: &[ReturnItem]) -> Result<Row> {
-        let mut row = Vec::with_capacity(returns.len());
-        for item in returns {
-            let id = *env.get(&item.var).ok_or_else(|| CypherError::Exec {
-                msg: format!("unbound return variable '{}'", item.var),
-            })?;
-            let node = self.graph.node(id);
-            match &item.prop {
-                Some(p) => row.push(
-                    node.props
-                        .get(p)
-                        .cloned()
-                        .unwrap_or_else(|| Value::Str(String::new())),
-                ),
-                None => row.push(Value::Str(node.display_name(id))),
-            }
-        }
-        Ok(row)
-    }
 }
 
 /// Parse and run `src` in [`Mode::CreateOnly`], returning the built graph.
@@ -350,17 +148,18 @@ pub fn build_graph(src: &str) -> Result<PropertyGraph> {
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use kgstore::Value;
 
-    fn run_full(src: &str) -> (PropertyGraph, ExecOutput) {
+    fn run_create_only(src: &str) -> PropertyGraph {
         let script = parse(src).unwrap();
         let mut exec = Executor::new();
-        let out = exec.run(&script, Mode::Full).unwrap();
-        (exec.into_graph(), out)
+        exec.run(&script, Mode::CreateOnly).unwrap();
+        exec.into_graph()
     }
 
     #[test]
     fn create_builds_nodes_and_rels() {
-        let (g, _) = run_full(
+        let g = run_create_only(
             "CREATE (andes:MountainRange {name: \"Andes\"})\n\
              CREATE (andes)-[:COVERS]->(peru:Country {name: \"Peru\"})",
         );
@@ -371,7 +170,7 @@ mod tests {
 
     #[test]
     fn variable_reuse_across_statements() {
-        let (g, _) = run_full(
+        let g = run_create_only(
             "CREATE (a:X {name: \"A\"})\n\
              CREATE (a)-[:R]->(b:Y {name: \"B\"})\n\
              CREATE (a)-[:R]->(c:Z {name: \"C\"})",
@@ -386,7 +185,7 @@ mod tests {
 
     #[test]
     fn rebinding_merges_labels_and_props() {
-        let (g, _) = run_full("CREATE (a:X)\nCREATE (a:Y {name: \"A\"})");
+        let g = run_create_only("CREATE (a:X)\nCREATE (a:Y {name: \"A\"})");
         assert_eq!(g.node_count(), 1);
         let (_, node) = g.nodes().next().unwrap();
         assert_eq!(node.labels, ["X", "Y"]);
@@ -395,7 +194,7 @@ mod tests {
 
     #[test]
     fn incoming_direction_reverses_edge() {
-        let (g, _) = run_full("CREATE (a {name: \"A\"})<-[:IN]-(b {name: \"B\"})");
+        let g = run_create_only("CREATE (a {name: \"A\"})<-[:IN]-(b {name: \"B\"})");
         let rel = &g.rels()[0];
         assert_eq!(g.node(rel.src).display_name(rel.src), "B");
         assert_eq!(g.node(rel.dst).display_name(rel.dst), "A");
@@ -410,63 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn match_returns_rows() {
-        let (_, out) = {
-            let script = parse(
-                "CREATE (s:Lake {name: \"Lake Superior\", area: 82000})\n\
-                 CREATE (m:Lake {name: \"Lake Michigan\", area: 58000})\n\
-                 MATCH (x:Lake) RETURN x.name",
-            )
-            .unwrap();
-            let mut exec = Executor::new();
-            let out = exec.run(&script, Mode::Full).unwrap();
-            (exec.into_graph(), out)
-        };
-        let mut names: Vec<String> = out
-            .rows
-            .iter()
-            .map(|r| match &r[0] {
-                Value::Str(s) => s.clone(),
-                other => other.as_triple_text(),
-            })
-            .collect();
-        names.sort();
-        assert_eq!(names, ["Lake Michigan", "Lake Superior"]);
-    }
-
-    #[test]
-    fn match_with_relationship_pattern() {
-        let script = parse(
-            "CREATE (andes {name: \"Andes\"})-[:COVERS]->(peru {name: \"Peru\"})\n\
-             CREATE (andes)-[:COVERS]->(chile {name: \"Chile\"})\n\
-             CREATE (himalayas {name: \"Himalayas\"})-[:COVERS]->(nepal {name: \"Nepal\"})\n\
-             MATCH (m {name: \"Andes\"})-[:COVERS]->(c) RETURN c.name",
-        )
-        .unwrap();
-        let mut exec = Executor::new();
-        let out = exec.run(&script, Mode::Full).unwrap();
-        let mut names: Vec<String> = out.rows.iter().map(|r| r[0].as_triple_text()).collect();
-        names.sort();
-        assert_eq!(names, ["Chile", "Peru"]);
-    }
-
-    #[test]
-    fn match_respects_property_filters() {
-        let script = parse(
-            "CREATE (a:Lake {name: \"A\", area: 1})\n\
-             CREATE (b:Lake {name: \"B\", area: 2})\n\
-             MATCH (x:Lake {area: 2}) RETURN x.name",
-        )
-        .unwrap();
-        let mut exec = Executor::new();
-        let out = exec.run(&script, Mode::Full).unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Str("B".into()));
-    }
-
-    #[test]
     fn merge_reuses_matching_nodes() {
-        let (g, _) = run_full(
+        let g = run_create_only(
             "CREATE (a:Country {name: \"Peru\"})\n\
              MERGE (b:Country {name: \"Peru\"})\n\
              MERGE (c:Country {name: \"Chile\"})",
@@ -476,38 +220,12 @@ mod tests {
 
     #[test]
     fn merge_in_paths_deduplicates_endpoints() {
-        let (g, _) = run_full(
+        let g = run_create_only(
             "CREATE (andes:MountainRange {name: \"Andes\"})\n\
              MERGE (x:MountainRange {name: \"Andes\"})-[:COVERS]->(peru:Country {name: \"Peru\"})",
         );
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.rel_count(), 1);
-    }
-
-    #[test]
-    fn where_filters_rows() {
-        let script = parse(
-            "CREATE (a:Lake {name: \"A\", area: 1})\n\
-             CREATE (b:Lake {name: \"B\", area: 2})\n\
-             MATCH (x:Lake) WHERE x.area = 2 RETURN x.name",
-        )
-        .unwrap();
-        let mut exec = Executor::new();
-        let out = exec.run(&script, Mode::Full).unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Str("B".into()));
-    }
-
-    #[test]
-    fn where_on_unbound_variable_yields_no_rows() {
-        let script = parse(
-            "CREATE (a:Lake {name: \"A\"})\n\
-             MATCH (x:Lake) WHERE y.area = 2 RETURN x.name",
-        )
-        .unwrap();
-        let mut exec = Executor::new();
-        let out = exec.run(&script, Mode::Full).unwrap();
-        assert!(out.rows.is_empty());
     }
 
     #[test]
@@ -530,15 +248,5 @@ mod tests {
         assert!(triples
             .iter()
             .any(|t| t.s == "Apple Vision Pro" && t.p == "COMES_WITH" && t.o == "M2"));
-    }
-
-    #[test]
-    fn unbound_return_variable_is_exec_error() {
-        let script = parse("MATCH (x) RETURN y").unwrap();
-        let mut exec = Executor::new();
-        // empty graph → no rows → project never called; add a node first
-        exec.run(&parse("CREATE (a)").unwrap(), Mode::Full).unwrap();
-        let err = exec.run(&script, Mode::Full).unwrap_err();
-        assert_eq!(err.category(), "exec");
     }
 }

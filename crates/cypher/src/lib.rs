@@ -6,11 +6,12 @@
 //! back into triples. This crate is that substrate:
 //!
 //! * [`lexer`] / [`parser`] / [`ast`] — a recursive-descent front-end for
-//!   the subset LLM prompts elicit (`CREATE` node/relationship patterns,
-//!   property maps, multi-hop paths, plus `MATCH … RETURN` for the full
-//!   engine);
-//! * [`exec`] — materialisation into [`kgstore::PropertyGraph`] with
-//!   cross-statement variable bindings, and a backtracking matcher;
+//!   the subset LLM prompts elicit (`CREATE`/`MERGE` node/relationship
+//!   patterns, property maps, multi-hop paths, plus `MATCH … RETURN`,
+//!   which parses so it can be linted and repaired);
+//! * [`exec`] — a construction-only engine: `CREATE`/`MERGE`
+//!   materialisation into [`kgstore::PropertyGraph`] with cross-statement
+//!   variable bindings; a `MATCH` is the spurious-match error;
 //! * [`decode`] — the pseudo-graph decode step (graph → `<s> <p> <o>`
 //!   triples), including tolerant extraction of Cypher from raw LLM prose;
 //! * [`analyze`] / [`diag`] — `cylint`, a static semantic analyzer with
@@ -35,5 +36,5 @@ pub use ast::{Direction, NodePattern, PathPattern, RelPattern, ReturnItem, Scrip
 pub use decode::{decode_llm_output, decode_script, extract_cypher};
 pub use diag::{AppliedFix, Code, Diagnostic, Severity};
 pub use error::{CypherError, Pos};
-pub use exec::{build_graph, ExecOutput, Executor, Mode};
+pub use exec::{build_graph, Executor, Mode};
 pub use parser::{parse, parse_spanned, SpannedScript};

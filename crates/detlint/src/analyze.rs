@@ -8,7 +8,7 @@
 //! `= HashMap::new()`, `sum: f64`, struct fields), so a map that
 //! enters a file only through an untyped helper return can slip
 //! through. The workspace gate treats the analyzer as a ratchet:
-//! everything it *does* see must be fixed or carry a written reason.
+//! everything it *does* see must be fixed.
 //!
 //! Scoping rules:
 //! - DL001 (hash-order iteration) and DL003 (wall-clock) skip test
@@ -20,7 +20,7 @@
 //!   accumulation) apply everywhere, including tests: an undocumented
 //!   unsafe block or an unseeded generator is just as wrong in a test.
 
-use crate::diag::{Code, Diagnostic, Suppression};
+use crate::diag::{Code, Diagnostic};
 use crate::lexer::{lex, Comment, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,8 +90,7 @@ const PASSTHROUGH_CALLS: [&str; 10] = [
     "clone",
 ];
 
-/// Analyze one source file. Inline `// detlint: allow(…)` suppression
-/// is applied here; allowlist suppression happens in the runner.
+/// Analyze one source file.
 pub fn analyze(class: &FileClass, src: &str) -> Vec<Diagnostic> {
     analyze_with(class, src, &BTreeSet::new())
 }
@@ -120,14 +119,6 @@ pub fn hash_field_names(src: &str) -> BTreeSet<String> {
     let class = FileClass::default();
     let a = FileAnalysis::new(&class, src, &lexed.tokens, &lexed.comments);
     a.hash_fields
-}
-
-struct AllowDirective {
-    code: Code,
-    reason: String,
-    /// Last line the directive's comment occupies.
-    end_line: u32,
-    used: std::cell::Cell<bool>,
 }
 
 struct FileAnalysis<'a> {
@@ -159,7 +150,6 @@ struct FileAnalysis<'a> {
     float_idents: BTreeSet<String>,
     /// Token ranges `(open_brace, close_brace)` of struct/enum bodies.
     adt_bodies: Vec<(usize, usize)>,
-    allows: Vec<AllowDirective>,
 }
 
 struct FnDef {
@@ -189,7 +179,6 @@ impl<'a> FileAnalysis<'a> {
             global_hash_fields: BTreeSet::new(),
             float_idents: BTreeSet::new(),
             adt_bodies: Vec::new(),
-            allows: Vec::new(),
         };
         a.compute_depths();
         a.collect_attr_ranges();
@@ -200,16 +189,14 @@ impl<'a> FileAnalysis<'a> {
         a
     }
 
-    fn run(mut self) -> Vec<Diagnostic> {
+    fn run(self) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        self.parse_allow_directives(&mut diags);
         self.check_hash_iteration(&mut diags);
         self.check_unsafe_contracts(&mut diags);
         self.check_wall_clock(&mut diags);
         self.check_unseeded_randomness(&mut diags);
         self.check_target_feature_gating(&mut diags);
         self.check_parallel_float_accumulation(&mut diags);
-        self.apply_inline_allows(&mut diags);
         diags.sort_by_key(|x| (x.line, x.col, x.code));
         diags
     }
@@ -579,125 +566,6 @@ impl<'a> FileAnalysis<'a> {
         }
     }
 
-    // ---- suppression ------------------------------------------------------
-
-    fn parse_allow_directives(&mut self, diags: &mut Vec<Diagnostic>) {
-        for c in self.comments {
-            // Suppression is a code annotation, never documentation:
-            // doc comments (which may *describe* the directive syntax)
-            // are not parsed as directives.
-            if c.text.starts_with("///")
-                || c.text.starts_with("//!")
-                || c.text.starts_with("/**")
-                || c.text.starts_with("/*!")
-            {
-                continue;
-            }
-            let Some(pos) = c.text.find("detlint:") else {
-                continue;
-            };
-            let rest = c.text[pos + "detlint:".len()..].trim_start();
-            let Some(rest) = rest.strip_prefix("allow(") else {
-                diags.push(self.bad_allow(c, "expected `detlint: allow(DLxxx) <reason>`"));
-                continue;
-            };
-            let Some(close) = rest.find(')') else {
-                diags.push(self.bad_allow(c, "unclosed `allow(` directive"));
-                continue;
-            };
-            let code_str = rest[..close].trim();
-            let Some(code) = Code::parse(code_str) else {
-                diags.push(self.bad_allow(
-                    c,
-                    &format!("unknown or unsuppressible code `{code_str}` in allow directive"),
-                ));
-                continue;
-            };
-            let reason = rest[close + 1..].trim();
-            if reason.is_empty() {
-                diags.push(self.bad_allow(
-                    c,
-                    &format!(
-                        "allow({}) carries no reason — every suppression must say why",
-                        code.id()
-                    ),
-                ));
-                continue;
-            }
-            self.allows.push(AllowDirective {
-                code,
-                reason: reason.to_string(),
-                end_line: c.end_line,
-                used: std::cell::Cell::new(false),
-            });
-        }
-    }
-
-    fn bad_allow(&self, c: &Comment, msg: &str) -> Diagnostic {
-        Diagnostic {
-            code: Code::BadAllowDirective,
-            path: self.class.path.clone(),
-            line: c.line,
-            col: c.col,
-            message: msg.to_string(),
-            suppression: None,
-        }
-    }
-
-    /// Lines that contain at least one non-attribute token.
-    fn code_lines(&self) -> BTreeSet<u32> {
-        let mut lines = BTreeSet::new();
-        for (i, t) in self.toks.iter().enumerate() {
-            if !self.in_attr(i) {
-                lines.insert(t.line);
-            }
-        }
-        lines
-    }
-
-    fn apply_inline_allows(&self, diags: &mut [Diagnostic]) {
-        let code_lines = self.code_lines();
-        for d in diags.iter_mut() {
-            if d.code == Code::BadAllowDirective || d.suppression.is_some() {
-                continue;
-            }
-            // A directive applies on the same line, or from a comment
-            // block whose last line sits directly above the finding
-            // (with only comment/attribute lines in between).
-            let mut candidate_lines: Vec<u32> = vec![d.line];
-            let mut l = d.line;
-            while l > 1 {
-                l -= 1;
-                if code_lines.contains(&l) {
-                    break;
-                }
-                let has_comment = self.comments.iter().any(|c| c.end_line == l);
-                let has_attr_tokens = self
-                    .toks
-                    .iter()
-                    .enumerate()
-                    .any(|(i, t)| t.line == l && self.in_attr(i));
-                if has_comment || has_attr_tokens {
-                    candidate_lines.push(l);
-                } else {
-                    break; // blank line terminates the comment block
-                }
-            }
-            for a in &self.allows {
-                if a.code == d.code && candidate_lines.contains(&a.end_line) {
-                    a.used.set(true);
-                    d.suppression = Some(Suppression::Inline {
-                        reason: a.reason.clone(),
-                    });
-                    break;
-                }
-            }
-        }
-        // An allow directive that matched nothing is itself suspicious,
-        // but not fatal: the finding it used to justify may have been
-        // fixed. It is reported by the runner in verbose mode only.
-    }
-
     // ---- DL001 ------------------------------------------------------------
 
     fn check_hash_iteration(&self, diags: &mut Vec<Diagnostic>) {
@@ -744,10 +612,8 @@ impl<'a> FileAnalysis<'a> {
                 col: toks[k].col,
                 message: format!(
                     "iteration over hash-ordered collection `{receiver}` via `.{m}()` — order is \
-                     not a contract; sort first, collect into a BTree*, or justify with \
-                     `// detlint: allow(DL001) <reason>`"
+                     not a contract; sort first or collect into a BTree*"
                 ),
-                suppression: None,
             });
         }
         // For-loop form: `for pat in [&][mut] <ident-chain>` where the
@@ -820,10 +686,8 @@ impl<'a> FileAnalysis<'a> {
                     col: toks[i].col,
                     message: format!(
                         "for-loop over hash-ordered collection `{last}` — order is not a \
-                         contract; sort first, collect into a BTree*, or justify with \
-                         `// detlint: allow(DL001) <reason>`"
+                         contract; sort first or collect into a BTree*"
                     ),
-                    suppression: None,
                 });
             }
         }
@@ -1007,7 +871,6 @@ impl<'a> FileAnalysis<'a> {
                 line: toks[i].line,
                 col: toks[i].col,
                 message: msg,
-                suppression: None,
             });
         }
     }
@@ -1024,7 +887,14 @@ impl<'a> FileAnalysis<'a> {
         {
             return true;
         }
-        let code_lines = self.code_lines();
+        // Lines that contain at least one non-attribute token.
+        let code_lines: BTreeSet<u32> = self
+            .toks
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !self.in_attr(i))
+            .map(|(_, t)| t.line)
+            .collect();
         let mut l = line;
         while l > 1 {
             l -= 1;
@@ -1083,7 +953,6 @@ impl<'a> FileAnalysis<'a> {
                     "wall-clock read `{name}::now()` outside crates/bench — time must never \
                      influence results"
                 ),
-                suppression: None,
             });
         }
     }
@@ -1117,7 +986,6 @@ impl<'a> FileAnalysis<'a> {
                 line: toks[i].line,
                 col: toks[i].col,
                 message: format!("{msg} — derive state from an explicit seed instead"),
-                suppression: None,
             });
         }
     }
@@ -1226,7 +1094,6 @@ impl<'a> FileAnalysis<'a> {
                      `#[target_feature]`) for `{}`",
                     missing.join("`, `")
                 ),
-                suppression: None,
             });
         }
     }
@@ -1316,7 +1183,6 @@ impl<'a> FileAnalysis<'a> {
                      addition is not associative, so the schedule becomes observable; accumulate \
                      per-worker and reduce in a fixed order"
                 ),
-                suppression: None,
             });
         }
     }

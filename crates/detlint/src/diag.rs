@@ -3,22 +3,16 @@
 //! Mirrors the `cylint` UX (`cypher::diag`): every finding carries a
 //! stable machine-readable code (`DL001`–`DL006`), a repo-relative
 //! path, and a 1-based `line:col` span. The numeric ids never change
-//! meaning; new checks append new codes. `DL000` is reserved for
-//! malformed suppression directives — it exists so that "every
-//! suppression carries a reason" is itself machine-enforced and can
-//! never be suppressed.
+//! meaning; new checks append new codes.
 
 use std::fmt;
 
 /// Stable diagnostic codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Code {
-    /// DL000: a `detlint: allow(...)` directive without a reason, with
-    /// an unknown code, or an allowlist entry missing a reason.
-    BadAllowDirective,
     /// DL001: iteration over `std::HashMap`/`HashSet` (or the `Fx`
-    /// aliases) in non-test code without an order-insensitive sink or
-    /// a justification — hash iteration order is not a contract.
+    /// aliases) in non-test code without an order-insensitive sink —
+    /// hash iteration order is not a contract.
     HashOrderIteration,
     /// DL002: an `unsafe` block or `unsafe fn` without an adjacent
     /// `// SAFETY:` comment (or `# Safety` doc section for fns).
@@ -41,8 +35,7 @@ pub enum Code {
 }
 
 impl Code {
-    /// The six lintable codes, in numeric order (DL000 is the
-    /// meta-code for malformed suppressions and is not listed).
+    /// Every code, in numeric order.
     pub const ALL: [Code; 6] = [
         Code::HashOrderIteration,
         Code::UnsafeWithoutContract,
@@ -55,7 +48,6 @@ impl Code {
     /// The stable `DL00x` identifier.
     pub fn id(self) -> &'static str {
         match self {
-            Code::BadAllowDirective => "DL000",
             Code::HashOrderIteration => "DL001",
             Code::UnsafeWithoutContract => "DL002",
             Code::WallClock => "DL003",
@@ -68,7 +60,6 @@ impl Code {
     /// Kebab-case name for reports.
     pub fn slug(self) -> &'static str {
         match self {
-            Code::BadAllowDirective => "allow-directive-missing-reason",
             Code::HashOrderIteration => "hash-order-iteration",
             Code::UnsafeWithoutContract => "unsafe-without-safety-comment",
             Code::WallClock => "wall-clock-read",
@@ -77,42 +68,11 @@ impl Code {
             Code::ParallelFloatAccumulation => "parallel-float-accumulation",
         }
     }
-
-    /// Parse a `DL00x` id.
-    pub fn parse(s: &str) -> Option<Code> {
-        match s {
-            "DL001" => Some(Code::HashOrderIteration),
-            "DL002" => Some(Code::UnsafeWithoutContract),
-            "DL003" => Some(Code::WallClock),
-            "DL004" => Some(Code::UnseededRandomness),
-            "DL005" => Some(Code::UngatedTargetFeature),
-            "DL006" => Some(Code::ParallelFloatAccumulation),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Code {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ({})", self.id(), self.slug())
-    }
-}
-
-/// Why a finding did not count against the exit status.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Suppression {
-    /// An inline `// detlint: allow(DLxxx) <reason>` directive.
-    Inline { reason: String },
-    /// An entry in the checked-in allowlist (`detlint.toml`).
-    Allowlist { reason: String },
-}
-
-impl Suppression {
-    /// The written justification.
-    pub fn reason(&self) -> &str {
-        match self {
-            Suppression::Inline { reason } | Suppression::Allowlist { reason } => reason,
-        }
     }
 }
 
@@ -127,15 +87,6 @@ pub struct Diagnostic {
     /// 1-based column.
     pub col: u32,
     pub message: String,
-    /// `Some` when the finding is justified and does not fail the run.
-    pub suppression: Option<Suppression>,
-}
-
-impl Diagnostic {
-    /// Whether this finding fails the run.
-    pub fn is_active(&self) -> bool {
-        self.suppression.is_none()
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -148,15 +99,7 @@ impl fmt::Display for Diagnostic {
             self.line,
             self.col,
             self.message
-        )?;
-        if let Some(s) = &self.suppression {
-            let kind = match s {
-                Suppression::Inline { .. } => "inline allow",
-                Suppression::Allowlist { .. } => "allowlist",
-            };
-            write!(f, " [suppressed: {kind}: {}]", s.reason())?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -182,12 +125,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_round_trip() {
-        for code in Code::ALL {
-            assert_eq!(Code::parse(code.id()), Some(code));
-        }
-        assert_eq!(Code::parse("DL000"), None, "DL000 is not suppressible");
-        assert_eq!(Code::parse("CY001"), None);
+    fn ids_are_numbered_in_code_order() {
+        let ids: Vec<&str> = Code::ALL.iter().map(|c| c.id()).collect();
+        assert_eq!(ids, ["DL001", "DL002", "DL003", "DL004", "DL005", "DL006"]);
     }
 
     #[test]
@@ -198,7 +138,6 @@ mod tests {
             line: 12,
             col: 9,
             message: "iteration over HashMap `m`".into(),
-            suppression: None,
         };
         assert_eq!(
             d.to_string(),

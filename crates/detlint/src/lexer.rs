@@ -11,8 +11,7 @@
 //! detection for DL006).
 //!
 //! Comments are lexed *out of band* into [`Lexed::comments`] — the
-//! analyzer needs them for `// SAFETY:` adjacency (DL002) and
-//! `// detlint: allow(...)` suppression directives.
+//! analyzer needs them for `// SAFETY:` adjacency (DL002).
 
 /// What a token is. Only the distinctions the analyzer needs are kept.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +69,6 @@ impl Tok {
 pub struct Comment {
     pub text: String,
     pub line: u32,
-    pub col: u32,
     /// Line on which the comment ends (equal to `line` for `//`).
     pub end_line: u32,
 }
@@ -178,7 +176,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn line_comment(&mut self) {
-        let (line, col, start) = (self.line, self.col, self.pos);
+        let (line, start) = (self.line, self.pos);
         while let Some(b) = self.peek() {
             if b == b'\n' {
                 break;
@@ -189,13 +187,12 @@ impl<'a> Lexer<'a> {
         self.out.comments.push(Comment {
             text,
             line,
-            col,
             end_line: line,
         });
     }
 
     fn block_comment(&mut self) {
-        let (line, col, start) = (self.line, self.col, self.pos);
+        let (line, start) = (self.line, self.pos);
         self.bump_n(2); // consume `/*`
         let mut depth = 1usize;
         while depth > 0 {
@@ -216,7 +213,6 @@ impl<'a> Lexer<'a> {
         self.out.comments.push(Comment {
             text,
             line,
-            col,
             end_line: self.line,
         });
     }

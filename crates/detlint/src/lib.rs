@@ -12,76 +12,43 @@
 //! detlint is deliberately dependency-free (its own minimal Rust
 //! lexer instead of `syn`), so the gate builds offline and instantly.
 //!
-//! Suppression is always *written down*: inline
-//! `// detlint: allow(DLxxx) <reason>` directives, or entries in the
-//! checked-in `detlint.toml` allowlist — both reject empty reasons.
+//! There is no way to excuse a finding: every one fails the run, and
+//! the only remedy is to fix the code (sort before emitting, collect
+//! into a `BTree*`, write the `// SAFETY:` contract, gate the call).
 
-pub mod allowlist;
 pub mod analyze;
 pub mod diag;
 pub mod lexer;
 pub mod workspace;
 
 pub use analyze::{analyze, analyze_with, hash_field_names, FileClass};
-pub use diag::{Code, Diagnostic, Suppression};
+pub use diag::{Code, Diagnostic};
 
 use std::path::Path;
 
 /// The result of linting a set of files.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Every finding, suppressed or not, sorted by (path, line, col).
+    /// Every finding, sorted by (path, line, col); each fails the run.
     pub diagnostics: Vec<Diagnostic>,
     /// Files analyzed.
     pub files: usize,
-    /// Allowlist entries that matched no finding (stale).
-    pub stale_allowlist: Vec<String>,
-    /// Errors reading files or the allowlist (usage errors, exit 2).
+    /// Errors reading files (usage errors, exit 2).
     pub errors: Vec<String>,
 }
 
 impl Report {
-    /// Findings that fail the run.
-    pub fn active(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.is_active())
-    }
-
-    /// Count of suppressed findings.
-    pub fn suppressed_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.suppression.is_some())
-            .count()
-    }
-
-    /// Per-code `(code, active, suppressed)` counts over all findings,
-    /// in code order.
-    pub fn counts(&self) -> Vec<(Code, usize, usize)> {
-        let mut out = Vec::new();
-        for code in Code::ALL {
-            let active = self
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == code && d.is_active())
-                .count();
-            let suppressed = self
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == code && !d.is_active())
-                .count();
-            if active + suppressed > 0 {
-                out.push((code, active, suppressed));
-            }
-        }
-        let bad = self
-            .diagnostics
-            .iter()
-            .filter(|d| d.code == Code::BadAllowDirective)
-            .count();
-        if bad > 0 {
-            out.push((Code::BadAllowDirective, bad, 0));
-        }
-        out
+    /// Per-code `(code, findings)` counts, in code order, omitting
+    /// codes with none.
+    pub fn counts(&self) -> Vec<(Code, usize)> {
+        Code::ALL
+            .into_iter()
+            .map(|code| {
+                let n = self.diagnostics.iter().filter(|d| d.code == code).count();
+                (code, n)
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Render the report as JSON (hand-rolled; detlint has no deps).
@@ -89,29 +56,15 @@ impl Report {
         use diag::json_escape as esc;
         let mut out = String::from("{\n  \"findings\": [\n");
         for (i, d) in self.diagnostics.iter().enumerate() {
-            let suppression = match &d.suppression {
-                None => "null".to_string(),
-                Some(s) => {
-                    let kind = match s {
-                        Suppression::Inline { .. } => "inline",
-                        Suppression::Allowlist { .. } => "allowlist",
-                    };
-                    format!(
-                        "{{\"kind\": \"{kind}\", \"reason\": \"{}\"}}",
-                        esc(s.reason())
-                    )
-                }
-            };
             out.push_str(&format!(
                 "    {{\"code\": \"{}\", \"slug\": \"{}\", \"path\": \"{}\", \"line\": {}, \
-                 \"col\": {}, \"message\": \"{}\", \"suppression\": {}}}{}\n",
+                 \"col\": {}, \"message\": \"{}\"}}{}\n",
                 d.code.id(),
                 d.code.slug(),
                 esc(&d.path),
                 d.line,
                 d.col,
                 esc(&d.message),
-                suppression,
                 if i + 1 < self.diagnostics.len() {
                     ","
                 } else {
@@ -120,26 +73,12 @@ impl Report {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str(&format!("  \"files\": {},\n", self.files));
-        out.push_str(&format!(
-            "  \"active\": {},\n  \"suppressed\": {},\n",
-            self.active().count(),
-            self.suppressed_count()
-        ));
-        out.push_str("  \"stale_allowlist\": [");
-        for (i, s) in self.stale_allowlist.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", esc(s)));
-        }
-        out.push_str("]\n}\n");
+        out.push_str(&format!("  \"files\": {}\n}}\n", self.files));
         out
     }
 }
 
-/// Lint the workspace rooted at `root`, applying the allowlist at
-/// `<root>/detlint.toml` when present.
+/// Lint every workspace member crate under `root`.
 pub fn run_workspace(root: &Path) -> Report {
     let mut report = Report::default();
     let files = match workspace::workspace_files(root) {
@@ -176,25 +115,6 @@ pub fn run_workspace(root: &Path) -> Report {
             .diagnostics
             .extend(analyze_with(&files[*i], src, &field_names));
     }
-    let allow_path = root.join("detlint.toml");
-    if allow_path.exists() {
-        match std::fs::read_to_string(&allow_path) {
-            Ok(text) => match allowlist::parse(&text, "detlint.toml") {
-                Ok(entries) => {
-                    let stale = allowlist::apply(&entries, &mut report.diagnostics);
-                    report.stale_allowlist = stale
-                        .into_iter()
-                        .map(|i| {
-                            let e = &entries[i];
-                            format!("{} {} ({})", e.code.id(), e.path, e.reason)
-                        })
-                        .collect();
-                }
-                Err(errs) => report.errors.extend(errs),
-            },
-            Err(e) => report.errors.push(format!("cannot read detlint.toml: {e}")),
-        }
-    }
     report
         .diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.col, a.code).cmp(&(&b.path, b.line, b.col, b.code)));
@@ -214,23 +134,12 @@ mod tests {
             line: 1,
             col: 2,
             message: "m \"quoted\"".into(),
-            suppression: None,
         });
-        r.diagnostics.push(Diagnostic {
-            code: Code::WallClock,
-            path: "b.rs".into(),
-            line: 3,
-            col: 4,
-            message: "m".into(),
-            suppression: Some(Suppression::Allowlist { reason: "r".into() }),
-        });
-        r.files = 2;
-        assert_eq!(r.active().count(), 1);
-        assert_eq!(r.suppressed_count(), 1);
-        assert_eq!(r.counts(), vec![(Code::WallClock, 1, 1)]);
+        r.files = 1;
+        assert_eq!(r.counts(), vec![(Code::WallClock, 1)]);
         let json = r.to_json();
         assert!(json.contains("\"code\": \"DL003\""));
         assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"suppression\": {\"kind\": \"allowlist\", \"reason\": \"r\"}"));
+        assert!(json.contains("\"files\": 1"));
     }
 }

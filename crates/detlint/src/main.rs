@@ -1,5 +1,5 @@
 //! The `detlint` binary: lint the workspace (or listed files) and exit
-//! nonzero on any unsuppressed finding.
+//! nonzero on any finding.
 //!
 //! ```text
 //! cargo run -p detlint -- --workspace          # lint every member crate
@@ -7,9 +7,8 @@
 //! cargo run -p detlint -- crates/semvec/src/quant.rs
 //! ```
 //!
-//! Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/IO errors
-//! (including a malformed allowlist — a suppression without a reason
-//! is a configuration error, never a pass).
+//! Exit codes: 0 clean, 1 findings, 2 usage/IO errors. No comment,
+//! file or flag excuses a finding.
 
 use detlint::{analyze_with, hash_field_names, workspace, FileClass, Report};
 use std::path::PathBuf;
@@ -66,7 +65,7 @@ fn main() -> ExitCode {
     }
     if !report.errors.is_empty() {
         ExitCode::from(2)
-    } else if report.active().next().is_some() {
+    } else if !report.diagnostics.is_empty() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
@@ -108,28 +107,16 @@ fn lint_paths(root: &std::path::Path, paths: &[String]) -> Report {
 
 fn render_text(report: &Report) {
     for d in &report.diagnostics {
-        if d.is_active() {
-            println!("{d}");
-        }
+        println!("{d}");
     }
-    let active = report.active().count();
-    let suppressed = report.suppressed_count();
-    if active == 0 {
-        println!(
-            "detlint: clean — {} files, 0 active findings ({suppressed} suppressed with reasons)",
-            report.files
-        );
+    let n = report.diagnostics.len();
+    if n == 0 {
+        println!("detlint: clean — {} files, 0 findings", report.files);
     } else {
-        println!(
-            "detlint: {active} active finding(s) across {} files ({suppressed} suppressed)",
-            report.files
-        );
-        for (code, a, s) in report.counts() {
-            println!("  {code}: {a} active, {s} suppressed");
+        println!("detlint: {n} finding(s) across {} files", report.files);
+        for (code, k) in report.counts() {
+            println!("  {code}: {k}");
         }
-    }
-    for s in &report.stale_allowlist {
-        println!("detlint: note: stale allowlist entry matches nothing: {s}");
     }
 }
 
@@ -144,9 +131,8 @@ detlint — workspace determinism & unsafe-invariant analyzer (DL001-DL006)
 USAGE:
     detlint [--workspace] [--json] [--quiet] [--root DIR] [FILES...]
 
-With no FILES, lints every workspace member crate. Findings are
-suppressed only by an inline `// detlint: allow(DLxxx) <reason>` or a
-reasoned entry in detlint.toml; either without a reason is an error.
+With no FILES, lints every workspace member crate. Every finding fails
+the run (exit 1); nothing suppresses one, so fix the code it names.
 
 CODES:
     DL001 hash-order-iteration        DL004 unseeded-randomness

@@ -1,5 +1,5 @@
-// Inline-allow fixture: the DL001 finding exists but is suppressed by
-// a reasoned directive, so it must not count as active.
+// Allow-comment fixture: a `detlint: allow` comment with a reason is
+// an ordinary comment, so the DL001 finding under it stays active.
 use std::collections::HashMap;
 
 pub fn pinned(counts: &HashMap<String, usize>) -> Vec<String> {

@@ -1,5 +1,5 @@
 // Positive DL001 fixture: hash iteration feeding an output path with
-// no order-insensitive sink and no justification.
+// no order-insensitive sink.
 use std::collections::HashMap;
 
 pub fn label_report(names: &[String]) -> Vec<String> {

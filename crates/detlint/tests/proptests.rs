@@ -3,7 +3,7 @@
 //! not on arbitrary well-formed items — and every diagnostic it emits
 //! must carry an in-range 1-based span.
 
-use detlint::{analyze, Code, Diagnostic, FileClass};
+use detlint::{analyze, Diagnostic, FileClass};
 use kgstore::rng::{check, StdRng};
 
 fn class() -> FileClass {
@@ -40,8 +40,8 @@ fn ident(rng: &mut StdRng) -> String {
 
 /// One syntactically well-formed item, spanning the shapes the checks
 /// care about: hash decls + iteration, unsafe blocks/fns, clocks,
-/// randomness, target features, threaded float accumulation, allow
-/// directives, comments, strings.
+/// randomness, target features, threaded float accumulation, comments
+/// (some shaped like `detlint: allow(…)` directives), strings.
 fn item(rng: &mut StdRng) -> String {
     let (f, m) = (ident(rng), ident(rng));
     match rng.random_range(0..10) {
@@ -90,7 +90,7 @@ fn item(rng: &mut StdRng) -> String {
 }
 
 /// Total on arbitrary printable text — including unbalanced
-/// delimiters, stray quotes, and half-written directives.
+/// delimiters and stray quotes.
 #[test]
 fn never_panics_on_arbitrary_text() {
     check(96, 1, |rng| {
@@ -111,8 +111,7 @@ fn never_panics_on_arbitrary_unicode() {
 }
 
 /// On arbitrary sequences of well-formed items: no panic, valid
-/// spans, deterministic output, and inline-allowed findings carry
-/// their reasons.
+/// spans, deterministic output.
 #[test]
 fn spanned_and_deterministic_on_wellformed_items() {
     check(96, 3, |rng| {
@@ -121,13 +120,5 @@ fn spanned_and_deterministic_on_wellformed_items() {
         check_spans(&src, &diags);
         let again = analyze(&class(), &src);
         assert_eq!(&diags, &again, "analysis must be deterministic");
-        for d in &diags {
-            if let Some(s) = &d.suppression {
-                assert!(!s.reason().trim().is_empty());
-            }
-            if d.code == Code::BadAllowDirective {
-                assert!(d.is_active(), "DL000 is never suppressible");
-            }
-        }
     });
 }

@@ -61,11 +61,6 @@ impl AtomTable {
         &self.strings[a.index()]
     }
 
-    /// Resolve without panicking.
-    pub fn try_resolve(&self, a: Atom) -> Option<&str> {
-        self.strings.get(a.index()).map(|s| &**s)
-    }
-
     /// Number of interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()

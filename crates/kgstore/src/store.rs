@@ -80,11 +80,6 @@ impl TripleStore {
         self.insert(s, p, o)
     }
 
-    /// Insert an owned [`StrTriple`].
-    pub fn insert_triple(&mut self, t: &StrTriple) -> (TripleId, bool) {
-        self.insert_str(&t.s, &t.p, &t.o)
-    }
-
     /// Number of (distinct) triples.
     pub fn len(&self) -> usize {
         self.triples.len()
@@ -160,14 +155,6 @@ impl TripleStore {
     /// Iterate all triples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.triples.iter().copied()
-    }
-
-    /// Iterate all triples as `(TripleId, Triple)`.
-    pub fn iter_ids(&self) -> impl Iterator<Item = (TripleId, Triple)> + '_ {
-        self.triples
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TripleId(i as u32), *t))
     }
 
     /// Materialise a triple as owned strings.

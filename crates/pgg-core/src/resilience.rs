@@ -22,10 +22,6 @@ use std::cell::{Cell, RefCell};
 /// Retry / breaker knobs (part of [`crate::PipelineConfig`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
-    /// Master switch. `false` = one attempt per call, no breaker — the
-    /// chaos bench's "resilience off" arm; degradation policies still
-    /// apply (a failed stage degrades, it never aborts the question).
-    pub enabled: bool,
     /// Attempts per call including the first (retries = attempts − 1).
     pub max_attempts: u32,
     /// First backoff wait; doubles per retry.
@@ -44,7 +40,6 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             max_attempts: 3,
             backoff_base_ms: 100,
             backoff_cap_ms: 2_000,
@@ -55,10 +50,14 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// The resilience-off arm: single attempt, no breaker, no backoff.
+    /// The chaos bench's resilience-off arm: one attempt per call (so
+    /// no backoff) and a breaker that never trips. Degradation policies
+    /// still apply: a failed stage degrades, it never aborts the
+    /// question.
     pub fn disabled() -> Self {
         Self {
-            enabled: false,
+            max_attempts: 1,
+            breaker_threshold: u32::MAX,
             ..Default::default()
         }
     }
@@ -283,14 +282,6 @@ impl<'a> ResilientLlm<'a> {
             stage: kind.to_string(),
             ..Default::default()
         };
-        if !self.cfg.enabled {
-            call.attempts = 1;
-            let res = self.llm.complete(prompt, task);
-            if let Err(e) = &res {
-                call.faults.push(e.kind().to_string());
-            }
-            return (res, call);
-        }
         let mut last: Option<LlmError> = None;
         for retry in 0..self.cfg.max_attempts {
             let admitted = self
@@ -572,14 +563,27 @@ mod tests {
 
     #[test]
     fn disabled_means_single_attempt() {
+        // Ten retryable failures of one task kind in a row, twice the
+        // default breaker threshold: every call makes one attempt, waits
+        // no backoff and still reaches the transport.
         let q = question();
-        let llm = FlakyLlm::new(vec![Err(LlmError::Timeout), Ok("never reached".into())]);
+        let llm = FlakyLlm::new((0..10).map(|_| Err(LlmError::Timeout)).collect());
         let cfg = ResilienceConfig::disabled();
         let rl = ResilientLlm::new(&llm, &cfg);
-        let (res, call) = rl.complete("p", &LlmTask::Io { question: &q });
-        assert!(res.is_err());
-        assert_eq!(call.attempts, 1);
-        assert_eq!(call.backoff_ms, 0);
+        for i in 0..10 {
+            let (res, call) = rl.complete("p", &LlmTask::Io { question: &q });
+            assert!(res.is_err(), "call {i}");
+            let expected = StageCall {
+                stage: "io".into(),
+                attempts: 1,
+                faults: vec!["timeout".into()],
+                backoff_ms: 0,
+                fast_failed: false,
+            };
+            assert_eq!(call, expected, "call {i}");
+        }
+        assert_eq!(llm.call_count(), 10);
+        assert_eq!(rl.virtual_elapsed_ms(), 0);
     }
 
     #[test]

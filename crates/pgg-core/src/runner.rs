@@ -305,6 +305,16 @@ fn failed_record(q: &Question, note: String) -> Record {
     }
 }
 
+/// The message of a caught panic: its `&str` or `String` payload, else
+/// `"unknown panic"`.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string())
+}
+
 /// Lock `m`, recovering it if a worker panicked while holding it. The
 /// per-question `catch_unwind` keeps method panics out of every
 /// critical section, and each one is a single insert or removal, so
@@ -386,11 +396,7 @@ pub fn run(
                     }
                 }
                 Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "unknown panic".to_string());
+                    let msg = panic_message(&*payload);
                     failed_record(q, format!("panic:{i}:{}:{msg}", q.id))
                 }
             };

@@ -22,6 +22,7 @@ use crate::method::{MethodOutput, QaContext};
 use crate::pipeline::{drive, Stages, STAGE_OVERHEAD_MS};
 use crate::resilience::{best_effort_answer, Admit, Breaker, BreakerState};
 use crate::retrieval::BaseIndex;
+use crate::runner::panic_message;
 use crate::serve::{
     BatchTelemetry, Disposition, OfferedTrace, Outcome, ServeConfig, ServeReport, ShedReason,
 };
@@ -86,6 +87,18 @@ impl Board {
         self.cv.notify_all();
     }
 
+    /// Close the board when the returned guard drops, so parked
+    /// workers exit even if the event loop unwinds.
+    fn close_on_drop(&self) -> impl Drop + '_ {
+        struct Closer<'a>(&'a Board);
+        impl Drop for Closer<'_> {
+            fn drop(&mut self) {
+                self.0.close();
+            }
+        }
+        Closer(self)
+    }
+
     /// Next job, or `None` once the board is closed and drained.
     fn take(&self) -> Option<Job> {
         let mut st = self.lock();
@@ -101,6 +114,26 @@ impl Board {
     }
 }
 
+/// Armed for one job: if the worker unwinds before it sends the job's
+/// result (a panic payload whose own `Drop` panics escapes
+/// `catch_unwind`), the drop reports the job as panicked, so the event
+/// loop never waits on it.
+struct Unreported<'a> {
+    seq: u64,
+    tx: &'a mpsc::Sender<JobResult>,
+}
+
+impl Drop for Unreported<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.tx.send(JobResult {
+                seq: self.seq,
+                outcome: Err("worker unwound before reporting".to_string()),
+            });
+        }
+    }
+}
+
 fn worker_loop(
     board: &Board,
     ctx: &QaContext<'_>,
@@ -108,16 +141,14 @@ fn worker_loop(
     tx: mpsc::Sender<JobResult>,
 ) {
     while let Some(job) = board.take() {
+        let _unreported = Unreported {
+            seq: job.seq,
+            tx: &tx,
+        };
         let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
             drive(ctx, &questions[job.offered], Stages::Full, job.budget_ms)
         }));
-        let outcome = res.map_err(|payload| {
-            payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string())
-        });
+        let outcome = res.map_err(|payload| panic_message(&*payload));
         if tx
             .send(JobResult {
                 seq: job.seq,
@@ -157,7 +188,8 @@ struct Finished {
 /// # Panics
 ///
 /// If there are arrivals but no questions, or no virtual servers (the
-/// queue would never drain).
+/// queue would never drain), or if every worker thread died while jobs
+/// were still waiting for one.
 #[allow(clippy::too_many_arguments)] // mirrors QaContext + the serve knobs
 pub fn serve(
     llm: &dyn LanguageModel,
@@ -211,13 +243,25 @@ pub fn serve(
 
     let before = base.scoring_stats();
     let mut report = std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (board, ctx, qs) = (&board, &ctx, &offered_questions);
-            s.spawn(move || worker_loop(board, ctx, qs, tx));
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let (board, ctx, qs) = (&board, &ctx, &offered_questions);
+                s.spawn(move || worker_loop(board, ctx, qs, tx))
+            })
+            .collect();
+        // Only workers hold senders now: once every one has exited,
+        // `recv` fails instead of blocking.
+        drop(tx);
+        let report = {
+            let _close = board.close_on_drop();
+            event_loop(scfg, offered, questions, &board, &rx)
+        };
+        // A worker that unwound has already reported its job as
+        // panicked; joining it here consumes its panic.
+        for h in handles {
+            let _ = h.join();
         }
-        let report = event_loop(scfg, offered, questions, &board, &rx);
-        board.close();
         report
     });
     // Every dispatched job has reported back, so every grounding
@@ -383,7 +427,7 @@ fn event_loop(
                 (Some(_), _) => break known,
             }
             // An in-flight job might finish first: wait for a result.
-            let r = rx.recv().expect("a worker thread died");
+            let r = rx.recv().expect("every worker thread died");
             absorb(r, &mut in_flight, &mut heap, &mut done, questions, offered);
         };
         let Some((t, event)) = event else { break };
@@ -706,6 +750,105 @@ mod tests {
         assert!(
             expired_in_queue > 0,
             "the backlog behind one slow server must expire some queued questions"
+        );
+    }
+
+    /// Panics on one offered arrival with a payload whose own `Drop`
+    /// panics, so the panic escapes the worker's `catch_unwind` and
+    /// unwinds the worker thread.
+    struct PanicOnArrival {
+        inner: SimLlm,
+        arrival: usize,
+    }
+
+    struct PanicOnDrop;
+
+    impl Drop for PanicOnDrop {
+        fn drop(&mut self) {
+            panic!("payload drop panics");
+        }
+    }
+
+    impl LanguageModel for PanicOnArrival {
+        fn name(&self) -> &str {
+            "panic-on-arrival"
+        }
+        fn complete(&self, prompt: &str, task: &LlmTask<'_>) -> Result<Completion, LlmError> {
+            if StormLlm::offered_index(task) == Some(self.arrival) {
+                std::panic::panic_any(PanicOnDrop);
+            }
+            self.inner.complete(prompt, task)
+        }
+        fn call_count(&self) -> usize {
+            self.inner.call_count()
+        }
+        fn tokens_processed(&self) -> usize {
+            self.inner.tokens_processed()
+        }
+    }
+
+    /// Serve 10 arrivals with `workers` workers on a helper thread,
+    /// whose model kills a worker on arrival 3, and wait up to 60 s:
+    /// `Timeout` means `serve` hung, `Disconnected` that it panicked.
+    fn serve_with_a_dying_worker(
+        fx: &Arc<Fixture>,
+        workers: usize,
+    ) -> Result<ServeReport, mpsc::RecvTimeoutError> {
+        let (tx, rx) = mpsc::channel();
+        let fx = Arc::clone(fx);
+        std::thread::spawn(move || {
+            let llm = PanicOnArrival {
+                inner: SimLlm::new(fx.world.clone(), ModelProfile::gpt35_sim()),
+                arrival: 3,
+            };
+            let offered = OfferedTrace::poisson(9, 2.0, 10, fx.questions.len());
+            let scfg = ServeConfig {
+                workers,
+                ..Default::default()
+            };
+            let r = serve(
+                &llm,
+                &fx.src,
+                &fx.base,
+                &fx.emb,
+                &fx.cfg,
+                &scfg,
+                &fx.questions,
+                &offered,
+            );
+            let _ = tx.send(r);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+    }
+
+    #[test]
+    fn a_dead_worker_degrades_its_arrival_and_serve_returns() {
+        let fx = Arc::new(fixture(8, 37));
+        let r = match serve_with_a_dying_worker(&fx, 2) {
+            Ok(r) => r,
+            Err(e) => panic!("serve with a surviving worker must return: {e:?}"),
+        };
+        assert_eq!(r.outcomes.len(), 10);
+        for o in &r.outcomes {
+            if let Disposition::Answered { answer, .. } = &o.disposition {
+                assert!(!answer.is_empty(), "admitted ⇒ answered: {}", o.qid);
+                assert_eq!(answered_note(o, "panic:"), o.offered == 3, "{o:?}");
+            }
+        }
+        assert!(
+            answered_note(&r.outcomes[3], "panic:"),
+            "arrival 3 is answered"
+        );
+    }
+
+    #[test]
+    fn serve_panics_instead_of_hanging_once_every_worker_died() {
+        // With its only worker gone, queued jobs can never finish.
+        let fx = Arc::new(fixture(8, 38));
+        assert_eq!(
+            serve_with_a_dying_worker(&fx, 1).err(),
+            Some(mpsc::RecvTimeoutError::Disconnected),
+            "serve with no surviving worker must panic, not hang"
         );
     }
 

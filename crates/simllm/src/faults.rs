@@ -159,10 +159,8 @@ pub struct FaultyLlm<M> {
     plan: FaultPlan,
     /// `(question, task, sample)` slot → next attempt number.
     attempts: Mutex<FxHashMap<u64, u32>>,
-    injected: [AtomicU64; 5],
+    injected: AtomicU64,
 }
-
-const FAULT_KINDS: [&str; 5] = ["timeout", "rate-limited", "transient", "truncated", "empty"];
 
 impl<M: LanguageModel> FaultyLlm<M> {
     /// Wrap a model with a fault plan.
@@ -182,23 +180,11 @@ impl<M: LanguageModel> FaultyLlm<M> {
 
     /// Total faults injected so far.
     pub fn faults_injected(&self) -> u64 {
-        self.injected
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.injected.load(Ordering::Relaxed)
     }
 
-    /// Faults injected so far, by kind slug.
-    pub fn injected_by_kind(&self) -> Vec<(&'static str, u64)> {
-        FAULT_KINDS
-            .iter()
-            .zip(&self.injected)
-            .map(|(k, c)| (*k, c.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    fn record(&self, idx: usize) {
-        self.injected[idx].fetch_add(1, Ordering::Relaxed);
+    fn record(&self) {
+        self.injected.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -235,24 +221,24 @@ impl<M: LanguageModel> LanguageModel for FaultyLlm<M> {
         let r = self.plan.rates_for(&task.question().id, kind);
         let mut edge = r.timeout;
         if u < edge {
-            self.record(0);
+            self.record();
             return Err(LlmError::Timeout);
         }
         edge += r.rate_limited;
         if u < edge {
-            self.record(1);
+            self.record();
             // Deterministic provider-suggested wait in 50–200 ms.
             let retry_after_ms = 50 * (1 + mix2(key, 0xB0) % 4);
             return Err(LlmError::RateLimited { retry_after_ms });
         }
         edge += r.transient;
         if u < edge {
-            self.record(2);
+            self.record();
             return Err(LlmError::Transient);
         }
         edge += r.truncated;
         if u < edge {
-            self.record(3);
+            self.record();
             // Cut the real completion at a seeded 20–85% of its bytes.
             let full = self.inner.complete(prompt, task)?;
             let frac = 0.20 + 0.65 * unit_f64(mix2(key, 0xB1));
@@ -262,7 +248,7 @@ impl<M: LanguageModel> LanguageModel for FaultyLlm<M> {
         }
         edge += r.empty;
         if u < edge {
-            self.record(4);
+            self.record();
             return Err(LlmError::Empty);
         }
         self.inner.complete(prompt, task)

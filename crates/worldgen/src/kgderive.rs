@@ -7,7 +7,6 @@
 //! hop becomes two Wikidata hops, the exact mismatch the paper blames
 //! for the smaller SimpleQuestions gain in Table 3.
 
-use crate::schema::EntityKind;
 use crate::world::{EntityId, World};
 use kgstore::hash::{mix2, stable_str_hash, unit_f64};
 use kgstore::{EntityMeta, KgSource, SchemaStyle};
@@ -158,16 +157,6 @@ pub fn derive(world: &World, cfg: &SourceConfig) -> KgSource {
         }
     }
     src
-}
-
-/// Count world entities of a kind present in the source (test helper and
-/// report statistic).
-pub fn covered_entities(world: &World, src: &KgSource, kind: EntityKind) -> usize {
-    world
-        .entities_of_kind(kind)
-        .iter()
-        .filter(|&&id| src.store.atoms().get(&entity_sid(src.style, id)).is_some())
-        .count()
 }
 
 #[cfg(test)]

@@ -141,11 +141,6 @@ impl World {
     pub fn fact_count(&self) -> usize {
         self.facts.len()
     }
-
-    /// Whether a fact's relation is "recent" knowledge.
-    pub fn is_recent(&self, f: &WorldFact) -> bool {
-        f.rel.spec().recent
-    }
 }
 
 #[cfg(test)]
