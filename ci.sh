@@ -46,6 +46,9 @@ cargo run -q --offline --locked --release -p detlint -- --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --locked --workspace
 
+echo "==> cargo test -q --workspace --release (thread interleavings differ from debug)"
+cargo test -q --offline --locked --workspace --release
+
 echo "==> results/*.txt reproduce byte for byte (each table binary vs its committed output)"
 for committed in results/*.txt; do
     name=$(basename "${committed}" .txt)

@@ -80,40 +80,45 @@ impl Report {
 
 /// Lint every workspace member crate under `root`.
 pub fn run_workspace(root: &Path) -> Report {
-    let mut report = Report::default();
-    let files = match workspace::workspace_files(root) {
-        Ok(f) => f,
-        Err(e) => {
-            report.errors.push(format!(
+    match workspace::workspace_files(root) {
+        Ok(files) => lint_files(root, &files),
+        Err(e) => Report {
+            errors: vec![format!(
                 "cannot enumerate workspace at {}: {e}",
                 root.display()
-            ));
-            return report;
-        }
-    };
-    // Two passes: first collect every identifier declared anywhere in
-    // the workspace with a hash-ordered type (struct fields cross file
+            )],
+            ..Report::default()
+        },
+    }
+}
+
+/// Lint `files` (paths relative to `root`, or absolute), with findings
+/// sorted by (path, line, col, code) whatever order the files come in.
+pub fn lint_files(root: &Path, files: &[FileClass]) -> Report {
+    let mut report = Report::default();
+    // Two passes: first collect every identifier declared in any of the
+    // files with a hash-ordered type (struct fields cross file
     // boundaries — `source.rs` declares `meta`, `stats.rs` iterates
     // it), then analyze each file with that union as extra context.
-    let mut sources: Vec<(usize, String)> = Vec::new();
+    let mut sources: Vec<(&FileClass, String)> = Vec::new();
     let mut field_names = std::collections::BTreeSet::new();
-    for (i, class) in files.iter().enumerate() {
+    for class in files {
         let full = root.join(&class.path);
         match std::fs::read_to_string(&full) {
             Ok(src) => {
                 field_names.extend(hash_field_names(&src));
-                sources.push((i, src));
+                sources.push((class, src));
             }
             Err(e) => report
                 .errors
                 .push(format!("cannot read {}: {e}", full.display())),
         }
     }
-    for (i, src) in &sources {
+    for (class, src) in &sources {
         report.files += 1;
         report
             .diagnostics
-            .extend(analyze_with(&files[*i], src, &field_names));
+            .extend(analyze_with(class, src, &field_names));
     }
     report
         .diagnostics

@@ -10,7 +10,7 @@
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO errors. No comment,
 //! file or flag excuses a finding.
 
-use detlint::{analyze_with, hash_field_names, workspace, FileClass, Report};
+use detlint::{workspace, FileClass, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -52,7 +52,11 @@ fn main() -> ExitCode {
     let report = if paths.is_empty() {
         detlint::run_workspace(&root)
     } else {
-        lint_paths(&root, &paths)
+        let files: Vec<FileClass> = paths
+            .iter()
+            .map(|p| FileClass::from_path(&p.replace('\\', "/")))
+            .collect();
+        detlint::lint_files(&root, &files)
     };
 
     for e in &report.errors {
@@ -70,39 +74,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn lint_paths(root: &std::path::Path, paths: &[String]) -> Report {
-    let mut report = Report::default();
-    // Same two-pass shape as the workspace run, scoped to the listed
-    // files: hash-typed declarations in any of them are visible to all.
-    let mut loaded: Vec<(FileClass, String)> = Vec::new();
-    let mut field_names = std::collections::BTreeSet::new();
-    for p in paths {
-        let display = p.replace('\\', "/");
-        let class = FileClass::from_path(&display);
-        let full = if std::path::Path::new(p).is_absolute() {
-            PathBuf::from(p)
-        } else {
-            root.join(p)
-        };
-        match std::fs::read_to_string(&full) {
-            Ok(src) => {
-                field_names.extend(hash_field_names(&src));
-                loaded.push((class, src));
-            }
-            Err(e) => report
-                .errors
-                .push(format!("cannot read {}: {e}", full.display())),
-        }
-    }
-    for (class, src) in &loaded {
-        report.files += 1;
-        report
-            .diagnostics
-            .extend(analyze_with(class, src, &field_names));
-    }
-    report
 }
 
 fn render_text(report: &Report) {

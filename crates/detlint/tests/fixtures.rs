@@ -153,3 +153,35 @@ fn fixtures_under_test_paths_skip_test_scoped_codes() {
         "{diags:?}"
     );
 }
+
+/// `detlint FILES…` reports findings sorted by (path, line, col), as
+/// `--workspace` does, whatever order the files are listed in.
+#[test]
+fn listed_files_report_findings_in_path_order() {
+    let lint = |files: [&str; 2]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_detlint"))
+            .arg("--root")
+            .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures"))
+            .args(files)
+            .output()
+            .expect("the detlint binary runs");
+        assert_eq!(out.status.code(), Some(1), "both fixtures have findings");
+        String::from_utf8(out.stdout).expect("a UTF-8 report")
+    };
+    let report = lint(["dl003_pos.rs", "dl001_pos.rs"]);
+    let spans: Vec<(String, u32, u32)> = report
+        .lines()
+        .filter(|l| l.starts_with("DL"))
+        .map(|l| {
+            let span = l.split_whitespace().nth(1).expect("a span after the code");
+            let mut parts = span.split(':');
+            let path = parts.next().expect("a path").to_string();
+            let mut num = || parts.next().and_then(|n| n.parse().ok()).expect("a number");
+            (path, num(), num())
+        })
+        .collect();
+    assert!(spans.iter().any(|s| s.0 == "dl001_pos.rs"), "{report}");
+    assert!(spans.iter().any(|s| s.0 == "dl003_pos.rs"), "{report}");
+    assert!(spans.windows(2).all(|w| w[0] <= w[1]), "{report}");
+    assert_eq!(report, lint(["dl001_pos.rs", "dl003_pos.rs"]));
+}

@@ -60,16 +60,6 @@ impl ErrorTally {
         self.counts.get(&stage).copied().unwrap_or(0)
     }
 
-    /// Stage errors as a percentage of *total errors* (how the paper
-    /// reports verification-introduced errors: 15.2% of total errors).
-    pub fn share_of_errors(&self, stage: ErrorStage) -> f64 {
-        if self.total_errors == 0 {
-            0.0
-        } else {
-            100.0 * self.count(stage) as f64 / self.total_errors as f64
-        }
-    }
-
     /// Stage errors as a percentage of all questions (how the paper
     /// reports the 0.6% Cypher error rate).
     pub fn rate_of_questions(&self, stage: ErrorStage) -> f64 {
@@ -95,14 +85,12 @@ mod tests {
         assert_eq!(t.total_questions, 4);
         assert_eq!(t.total_errors, 3);
         assert_eq!(t.count(ErrorStage::Verification), 2);
-        assert!((t.share_of_errors(ErrorStage::Verification) - 66.666).abs() < 0.01);
         assert!((t.rate_of_questions(ErrorStage::Verification) - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_tally_is_zero() {
         let t = ErrorTally::default();
-        assert_eq!(t.share_of_errors(ErrorStage::Verification), 0.0);
         assert_eq!(t.rate_of_questions(ErrorStage::Verification), 0.0);
     }
 

@@ -101,15 +101,6 @@ impl TripleStore {
         self.dedup.contains(&Triple::new(s, p, o))
     }
 
-    /// Whether the exact string triple exists (false if any part is
-    /// unknown to the interner).
-    pub fn contains_str(&self, s: &str, p: &str, o: &str) -> bool {
-        match (self.atoms.get(s), self.atoms.get(p), self.atoms.get(o)) {
-            (Some(s), Some(p), Some(o)) => self.contains(s, p, o),
-            _ => false,
-        }
-    }
-
     /// Triple ids whose subject is `s`.
     pub fn ids_by_subject(&self, s: Atom) -> &[TripleId] {
         self.by_s.get(&s).map_or(&[], |v| v)
@@ -208,10 +199,12 @@ mod tests {
     fn insert_and_query() {
         let st = sample();
         assert_eq!(st.len(), 3);
-        let yao = st.atoms().get("Yao Ming").unwrap();
+        let atom = |s: &str| st.atoms().get(s).unwrap();
+        let yao = atom("Yao Ming");
         assert_eq!(st.by_subject(yao).count(), 2);
-        assert!(st.contains_str("Shanghai", "country", "China"));
-        assert!(!st.contains_str("Shanghai", "country", "Japan"));
+        assert!(st.contains(atom("Shanghai"), atom("country"), atom("China")));
+        assert!(!st.contains(atom("Shanghai"), atom("country"), yao));
+        assert_eq!(st.atoms().get("Japan"), None, "never interned");
     }
 
     #[test]

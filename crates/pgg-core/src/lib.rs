@@ -27,6 +27,7 @@ pub mod baselines;
 pub mod config;
 pub mod method;
 pub mod pipeline;
+mod pool;
 pub mod prune;
 pub mod resilience;
 pub mod retrieval;

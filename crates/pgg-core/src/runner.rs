@@ -2,24 +2,27 @@
 //! parallel, producing per-question records and aggregate scores.
 //!
 //! The runner is the robustness boundary of the harness: a question
-//! whose method panics becomes a scored-as-miss [`Record`] (counted in
-//! [`RunResult::errors`]) instead of tearing down the whole sweep, and
-//! misconfiguration (a KG method with no KG source) is a typed
-//! [`RunError`] for the caller rather than an abort.
+//! whose method panics, or whose worker thread dies, becomes a
+//! scored-as-miss [`Record`] (counted in [`RunResult::errors`]) instead
+//! of tearing down the whole sweep. If every worker dies, the questions
+//! nobody answered become `missing-record` misses. Misconfiguration (a
+//! KG method with no KG source) is a typed [`RunError`] for the caller
+//! rather than an abort.
 //!
 //! # Determinism contract
 //!
-//! The worker pool claims questions in chunks off a shared atomic
-//! cursor and commits records into index-ordered slots, so the
-//! assembled [`RunResult`] is **byte-identical for any thread count**
-//! (asserted by [`RunResult::identity_key`], which digests everything
+//! The crate's one worker pool (the `pool` module, which the server
+//! uses too) takes question indices off one channel in dataset order,
+//! and each answer is filed in its index's slot, so the assembled
+//! [`RunResult`] is **byte-identical for any thread count** (asserted
+//! by [`RunResult::identity_key`], which digests everything
 //! deterministic a record carries and deliberately excludes the
 //! wall-clock telemetry — the only schedule-dependent bytes). The
 //! contract holds because each question's entire mutable state — the
 //! resilience middleware, the fault schedule keyed on (question, task,
 //! attempt), the trace — is question-scoped: workers share only
-//! immutable references plus the atomic cursor (the same pure-worker
-//! argument the serving engine documents).
+//! immutable references (the same pure-worker argument the serving
+//! engine documents).
 
 use crate::config::PipelineConfig;
 use crate::method::{Method, QaContext, StageTiming, Trace};
@@ -29,8 +32,6 @@ use kgstore::KgSource;
 use semvec::Embedder;
 use simllm::LanguageModel;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use worldgen::{Dataset, Gold, Question};
 
 /// Virtual price of the eval stage (answer scoring). Scoring is pure
@@ -38,13 +39,6 @@ use worldgen::{Dataset, Gold, Question};
 /// floor; the stage exists so every record — including a stage-less
 /// baseline's — occupies a worker in the virtual makespan model.
 const EVAL_COST_MS: u64 = 1;
-
-/// Questions claimed per work-steal. Chunking cuts shared-state
-/// traffic to one atomic claim and one slot-commit lock per chunk
-/// instead of per question, without touching results: which worker
-/// answers which question is outcome-irrelevant under the pure-worker
-/// contract (see the module docs).
-const STEAL_CHUNK: usize = 4;
 
 /// One scored question.
 #[derive(Debug, Clone)]
@@ -135,8 +129,9 @@ pub struct RunResult {
     pub rouge: RougeAccumulator,
     /// Per-question records, in dataset order.
     pub records: Vec<Record>,
-    /// Questions whose method panicked (still present in `records`,
-    /// scored as misses with a `panic:…` degradation note).
+    /// Questions whose method panicked or whose worker died (still
+    /// present in `records`, scored as misses with a `panic:…` or
+    /// `missing-record` degradation note).
     pub errors: usize,
     /// Transport-fault telemetry aggregated over the run.
     pub faults: FaultSummary,
@@ -240,20 +235,13 @@ impl RunResult {
     }
 }
 
-/// Why a run could not start (or finish).
+/// Why a run could not start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A method that needs a KG was handed no source.
     MissingKgSource {
         /// The offending method's name.
         method: String,
-    },
-    /// A worker thread died outside the per-question isolation (a bug
-    /// in the runner itself, not in a method).
-    WorkerPanicked {
-        /// `index:qid` labels of the questions that were in flight when
-        /// the scope tore down — the suspects a soak report can name.
-        in_flight: Vec<String>,
     },
 }
 
@@ -262,17 +250,6 @@ impl std::fmt::Display for RunError {
         match self {
             RunError::MissingKgSource { method } => {
                 write!(f, "{method} requires a KG source but none was provided")
-            }
-            RunError::WorkerPanicked { in_flight } => {
-                if in_flight.is_empty() {
-                    write!(f, "a runner worker thread panicked (no question in flight)")
-                } else {
-                    write!(
-                        f,
-                        "a runner worker thread panicked (in flight: {})",
-                        in_flight.join(", ")
-                    )
-                }
             }
         }
     }
@@ -288,8 +265,8 @@ pub fn score_answer(answer: &str, gold: &Gold) -> (Option<bool>, Option<Prf>) {
     }
 }
 
-/// The scored-as-miss record for a question whose method panicked (or,
-/// unreachably, whose slot was never filled).
+/// The scored-as-miss record for a question whose method panicked or
+/// whose worker died, or that no worker was left to answer.
 fn failed_record(q: &Question, note: String) -> Record {
     let (hit, rouge) = score_answer("", &q.gold);
     Record {
@@ -303,24 +280,6 @@ fn failed_record(q: &Question, note: String) -> Record {
             ..Default::default()
         },
     }
-}
-
-/// The message of a caught panic: its `&str` or `String` payload, else
-/// `"unknown panic"`.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_string())
-}
-
-/// Lock `m`, recovering it if a worker panicked while holding it. The
-/// per-question `catch_unwind` keeps method panics out of every
-/// critical section, and each one is a single insert or removal, so
-/// the data is whole either way.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Run `method` over `dataset` with `threads` workers (`0` = the
@@ -342,84 +301,50 @@ pub fn run(
             method: method.name().to_string(),
         });
     }
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-        explicit => explicit,
+    let ctx = QaContext {
+        llm,
+        source,
+        base,
+        embedder,
+        cfg,
     };
-
+    let answer = |i: usize| {
+        let q = &dataset.questions[i];
+        let out = method.answer(&ctx, q);
+        let eval0 = crate::timing::wall_ns();
+        let (hit, rouge) = score_answer(&out.answer, &q.gold);
+        let mut trace = out.trace;
+        trace.stages.push(StageTiming {
+            stage: "eval".to_string(),
+            virtual_ms: EVAL_COST_MS,
+            wall_ns: crate::timing::wall_ns().saturating_sub(eval0),
+        });
+        Record {
+            qid: q.id.clone(),
+            question: q.text.clone(),
+            answer: out.answer,
+            hit,
+            rouge,
+            trace,
+        }
+    };
     let n = dataset.questions.len();
     let mut records: Vec<Option<Record>> = Vec::with_capacity(n);
     records.resize_with(n, || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots = Mutex::new(&mut records);
-    // Questions currently being answered, as `index:qid` — consulted
-    // only if the scope join fails, to name the suspects.
-    let in_flight = Mutex::new(std::collections::BTreeSet::<String>::new());
-
-    let worker = || loop {
-        let start = next.fetch_add(STEAL_CHUNK, std::sync::atomic::Ordering::Relaxed);
-        if start >= n {
-            break;
+    crate::pool::with_pool(threads, n, answer, |jobs, answers| {
+        for i in 0..n {
+            jobs.send(i).expect("the pool holds the job receiver");
         }
-        let end = (start + STEAL_CHUNK).min(n);
-        let mut chunk: Vec<(usize, Record)> = Vec::with_capacity(end - start);
-        for i in start..end {
-            let q: &Question = &dataset.questions[i];
-            let label = format!("{i}:{}", q.id);
-            lock(&in_flight).insert(label.clone());
-            let ctx = QaContext {
-                llm,
-                source,
-                base,
-                embedder,
-                cfg,
-            };
-            // One question's panic becomes one failed record; the other
-            // N−1 questions (and the sweep) are unaffected.
-            let rec = match catch_unwind(AssertUnwindSafe(|| method.answer(&ctx, q))) {
-                Ok(out) => {
-                    let eval0 = crate::timing::wall_ns();
-                    let (hit, rouge) = score_answer(&out.answer, &q.gold);
-                    let mut trace = out.trace;
-                    trace.stages.push(StageTiming {
-                        stage: "eval".to_string(),
-                        virtual_ms: EVAL_COST_MS,
-                        wall_ns: crate::timing::wall_ns().saturating_sub(eval0),
-                    });
-                    Record {
-                        qid: q.id.clone(),
-                        question: q.text.clone(),
-                        answer: out.answer,
-                        hit,
-                        rouge,
-                        trace,
-                    }
-                }
-                Err(payload) => {
-                    let msg = panic_message(&*payload);
-                    failed_record(q, format!("panic:{i}:{}:{msg}", q.id))
-                }
-            };
-            chunk.push((i, rec));
-            lock(&in_flight).remove(&label);
+        drop(jobs);
+        // One question's panic becomes one failed record; the other
+        // N−1 questions (and the sweep) are unaffected.
+        for (i, rec) in answers {
+            let q = &dataset.questions[i];
+            records[i] = Some(
+                rec.unwrap_or_else(|msg| failed_record(q, format!("panic:{i}:{}:{msg}", q.id))),
+            );
         }
-        let mut slots = lock(&slots);
-        for (i, rec) in chunk {
-            slots[i] = Some(rec);
-        }
-    };
-    // `thread::scope` joins every worker, then re-raises a worker
-    // panic; catching it here turns that panic into `WorkerPanicked`.
-    catch_unwind(AssertUnwindSafe(|| {
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(n.max(1)) {
-                scope.spawn(worker);
-            }
-        })
-    }))
-    .map_err(|_| RunError::WorkerPanicked {
-        in_flight: lock(&in_flight).iter().cloned().collect(),
-    })?;
+    });
 
     let mut result = RunResult {
         method: method.name().to_string(),
@@ -687,11 +612,12 @@ mod tests {
     }
 
     /// A panic outside the per-question guard — dropping the panic
-    /// payload panics again — kills its worker. The run reports it as
-    /// `WorkerPanicked` once every worker has joined, naming the
-    /// question that was in flight.
+    /// payload panics again — kills its worker. The question it held
+    /// becomes a failed record with a `panic:` note and the surviving
+    /// workers answer the rest; with no worker left, the questions
+    /// nobody answered become `missing-record` misses.
     #[test]
-    fn a_worker_panic_is_a_typed_error_after_every_worker_joined() {
+    fn a_dead_worker_fails_its_question_and_the_rest_are_answered_or_missing() {
         struct PanicOnDrop;
         impl Drop for PanicOnDrop {
             fn drop(&mut self) {
@@ -713,9 +639,31 @@ mod tests {
         let (world, llm, src) = setup();
         let ds = simpleq::generate(&world, 12, 7);
         let (emb, cfg) = (Embedder::default(), PipelineConfig::default());
-        let err = run(&Bomb, &llm, Some(&src), None, &emb, &cfg, &ds, 4).unwrap_err();
-        let in_flight = vec![format!("3:{}", ds.questions[3].id)];
-        assert_eq!(err, RunError::WorkerPanicked { in_flight });
+        let dead = format!("panic:3:{}:", ds.questions[3].id);
+        let missing = |r: &Record| r.trace.degradation == ["missing-record"];
+
+        // Four threads: three survive and answer every other question.
+        let res = run(&Bomb, &llm, Some(&src), None, &emb, &cfg, &ds, 4).unwrap();
+        assert_eq!(res.records.len(), 12);
+        assert!(
+            res.records[3].trace.degradation[0].starts_with(&dead),
+            "{:?}",
+            res.records[3].trace.degradation
+        );
+        assert!(!res.records.iter().any(missing), "every record is present");
+        assert_eq!(
+            res.errors, 4,
+            "Panicky's 0, 6 and 9, and the dead worker's 3"
+        );
+
+        // One thread: it answers 0–2 in order and dies on 3.
+        let res = run(&Bomb, &llm, Some(&src), None, &emb, &cfg, &ds, 1).unwrap();
+        assert_eq!(res.records.len(), 12);
+        assert!(res.records[3].trace.degradation[0].starts_with(&dead));
+        for (i, r) in res.records.iter().enumerate() {
+            assert_eq!(missing(r), i >= 4, "record {i}: {:?}", r.trace.degradation);
+        }
+        assert_eq!(res.errors, 10);
     }
 
     #[test]

@@ -5,24 +5,27 @@
 //! queue, virtual servers, deadlines, the service breaker — and
 //! advances a virtual event clock over two event kinds: *arrival*
 //! (admit, shed, or queue) and *completion* (record the outcome, feed
-//! the breaker, start the next queued job). Workers only evaluate
-//! dispatched jobs — one `drive` call from [`crate::pipeline`] per
-//! question, the pure `(question, budget) → output` function the runner
-//! also calls — and send results back over a channel.
+//! the breaker, start the next queued job). It sends each started
+//! question to the crate's one worker pool (the `pool` module, which the
+//! runner uses too) as an `(arrival, budget)` job. Workers only evaluate
+//! jobs — one `drive` call from [`crate::pipeline`] per question, the
+//! pure `(question, budget) → output` function the runner also calls —
+//! and send results back over a channel.
 //!
 //! The loop never acts on an event until every completion that could
 //! precede it is known: each in-flight job finishes no earlier than
 //! `started + MIN_SERVICE_MS`, so the loop blocks for results exactly
 //! when that bound does not clear the next known event. Completions
-//! are then ordered by `(virtual finish, dispatch seq)`, which makes
-//! the whole schedule — and every outcome — independent of how many
+//! are then ordered by `(virtual finish, arrival)`. Admission is FIFO
+//! in arrival order, so that is also the order jobs started in, and
+//! the whole schedule — and every outcome — is independent of how many
 //! real workers raced to produce the results.
 
 use crate::method::{MethodOutput, QaContext};
 use crate::pipeline::{drive, Stages, STAGE_OVERHEAD_MS};
+use crate::pool::{with_pool, Answer};
 use crate::resilience::{best_effort_answer, Admit, Breaker, BreakerState};
 use crate::retrieval::BaseIndex;
-use crate::runner::panic_message;
 use crate::serve::{
     BatchTelemetry, Disposition, OfferedTrace, Outcome, ServeConfig, ServeReport, ShedReason,
 };
@@ -33,9 +36,7 @@ use semvec::Embedder;
 use simllm::LanguageModel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, MutexGuard};
 use worldgen::Question;
 
 /// No job finishes faster than this: every dispatched job enters at
@@ -44,133 +45,13 @@ use worldgen::Question;
 /// advancing the event clock.
 const MIN_SERVICE_MS: u64 = STAGE_OVERHEAD_MS;
 
-/// One dispatched unit of work.
-struct Job {
-    seq: u64,
-    offered: usize,
-    budget_ms: u64,
-}
-
-/// What a worker sends back: the job's output, or the panic message
-/// if the pipeline blew up (the service answers the question degraded
-/// either way).
-struct JobResult {
-    seq: u64,
-    outcome: Result<MethodOutput, String>,
-}
-
-/// The dispatch board: a closable MPMC queue on a mutex + condvar.
-struct Board {
-    state: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-}
-
-impl Board {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, (VecDeque<Job>, bool)> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn push(&self, job: Job) {
-        self.lock().0.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        self.lock().1 = true;
-        self.cv.notify_all();
-    }
-
-    /// Close the board when the returned guard drops, so parked
-    /// workers exit even if the event loop unwinds.
-    fn close_on_drop(&self) -> impl Drop + '_ {
-        struct Closer<'a>(&'a Board);
-        impl Drop for Closer<'_> {
-            fn drop(&mut self) {
-                self.0.close();
-            }
-        }
-        Closer(self)
-    }
-
-    /// Next job, or `None` once the board is closed and drained.
-    fn take(&self) -> Option<Job> {
-        let mut st = self.lock();
-        loop {
-            if let Some(j) = st.0.pop_front() {
-                return Some(j);
-            }
-            if st.1 {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Armed for one job: if the worker unwinds before it sends the job's
-/// result (a panic payload whose own `Drop` panics escapes
-/// `catch_unwind`), the drop reports the job as panicked, so the event
-/// loop never waits on it.
-struct Unreported<'a> {
-    seq: u64,
-    tx: &'a mpsc::Sender<JobResult>,
-}
-
-impl Drop for Unreported<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ = self.tx.send(JobResult {
-                seq: self.seq,
-                outcome: Err("worker unwound before reporting".to_string()),
-            });
-        }
-    }
-}
-
-fn worker_loop(
-    board: &Board,
-    ctx: &QaContext<'_>,
-    questions: &[Question],
-    tx: mpsc::Sender<JobResult>,
-) {
-    while let Some(job) = board.take() {
-        let _unreported = Unreported {
-            seq: job.seq,
-            tx: &tx,
-        };
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            drive(ctx, &questions[job.offered], Stages::Full, job.budget_ms)
-        }));
-        let outcome = res.map_err(|payload| panic_message(&*payload));
-        if tx
-            .send(JobResult {
-                seq: job.seq,
-                outcome,
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-/// A dispatched job the event loop has not yet seen a result for.
-struct InFlight {
-    offered: usize,
-    started_ms: u64,
-}
+/// One dispatched job: the arrival it serves and its remaining
+/// deadline budget.
+type Job = (usize, u64);
 
 /// A job whose result is known; waits in the completion heap until
 /// its virtual finish time is reached.
 struct Finished {
-    offered: usize,
     started_ms: u64,
     answer: String,
     degradation: Vec<String>,
@@ -231,39 +112,17 @@ pub fn serve(
         embedder,
         cfg,
     };
-    let board = Board::new();
-    let (tx, rx) = mpsc::channel::<JobResult>();
-    let workers = if scfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    } else {
-        scfg.workers
-    };
 
     let before = base.scoring_stats();
-    let mut report = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let tx = tx.clone();
-                let (board, ctx, qs) = (&board, &ctx, &offered_questions);
-                s.spawn(move || worker_loop(board, ctx, qs, tx))
-            })
-            .collect();
-        // Only workers hold senders now: once every one has exited,
-        // `recv` fails instead of blocking.
-        drop(tx);
-        let report = {
-            let _close = board.close_on_drop();
-            event_loop(scfg, offered, questions, &board, &rx)
-        };
-        // A worker that unwound has already reported its job as
-        // panicked; joining it here consumes its panic.
-        for h in handles {
-            let _ = h.join();
-        }
-        report
-    });
+    // No more than `virtual_servers` jobs are ever in flight.
+    let mut report = with_pool(
+        scfg.workers,
+        scfg.virtual_servers,
+        |(arrival, budget_ms): Job| {
+            drive(&ctx, &offered_questions[arrival], Stages::Full, budget_ms)
+        },
+        |jobs, answers| event_loop(scfg, offered, questions, &jobs, &answers),
+    );
     // Every dispatched job has reported back, so every grounding
     // search of this run is in the delta.
     let after = base.scoring_stats();
@@ -274,27 +133,26 @@ pub fn serve(
     report
 }
 
-/// Fold one worker result into the completion heap.
+/// Fold one worker answer into the completion heap.
 fn absorb(
-    r: JobResult,
-    in_flight: &mut FxHashMap<u64, InFlight>,
-    heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
-    done: &mut FxHashMap<u64, Finished>,
+    ((arrival, _), outcome): Answer<Job, MethodOutput>,
+    in_flight: &mut FxHashMap<usize, u64>,
+    heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    done: &mut FxHashMap<usize, Finished>,
     questions: &[Question],
     offered: &OfferedTrace,
 ) {
-    let fl = in_flight
-        .remove(&r.seq)
+    let started_ms = in_flight
+        .remove(&arrival)
         .expect("result for a job never dispatched");
-    let (f, service_ms) = match r.outcome {
+    let (f, service_ms) = match outcome {
         Ok(out) => {
             let attempts = out.trace.total_attempts();
             let faults = out.trace.total_faults();
             let service = out.trace.virtual_ms().max(MIN_SERVICE_MS);
             (
                 Finished {
-                    offered: fl.offered,
-                    started_ms: fl.started_ms,
+                    started_ms,
                     answer: out.answer,
                     degradation: out.trace.degradation,
                     attempts,
@@ -308,13 +166,12 @@ fn absorb(
             // A panicking job is isolated: the question is answered
             // degraded and the panic is preserved as a note (the soak
             // gates assert none ever happen).
-            let qid = &questions[offered.arrivals[fl.offered].question].id;
+            let qid = &questions[offered.arrivals[arrival].question].id;
             (
                 Finished {
-                    offered: fl.offered,
-                    started_ms: fl.started_ms,
+                    started_ms,
                     answer: best_effort_answer(&[]),
-                    degradation: vec![format!("panic:{}:{}:{msg}", fl.offered, qid)],
+                    degradation: vec![format!("panic:{arrival}:{qid}:{msg}")],
                     attempts: 0,
                     faults: 0,
                     panicked: true,
@@ -323,16 +180,16 @@ fn absorb(
             )
         }
     };
-    heap.push(Reverse((fl.started_ms + service_ms, r.seq)));
-    done.insert(r.seq, f);
+    heap.push(Reverse((started_ms + service_ms, arrival)));
+    done.insert(arrival, f);
 }
 
 fn event_loop(
     scfg: &ServeConfig,
     offered: &OfferedTrace,
     questions: &[Question],
-    board: &Board,
-    rx: &mpsc::Receiver<JobResult>,
+    jobs: &mpsc::Sender<Job>,
+    answers: &mpsc::Receiver<Answer<Job, MethodOutput>>,
 ) -> ServeReport {
     let n = offered.arrivals.len();
     let mut outcomes: Vec<Option<Outcome>> = std::iter::repeat_with(|| None).take(n).collect();
@@ -340,11 +197,12 @@ fn event_loop(
     let mut busy = 0usize;
     let mut breaker = Breaker::new(scfg.breaker_threshold, scfg.breaker_cooldown_ms);
     let mut probe_offered: Option<usize> = None;
-    let mut next_seq = 0u64;
     let mut ai = 0usize;
-    let mut in_flight: FxHashMap<u64, InFlight> = FxHashMap::default();
-    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut done: FxHashMap<u64, Finished> = FxHashMap::default();
+    // Keyed by arrival: the start time of each dispatched job, and the
+    // result of each job waiting for its virtual finish.
+    let mut in_flight: FxHashMap<usize, u64> = FxHashMap::default();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut done: FxHashMap<usize, Finished> = FxHashMap::default();
     let mut now = 0u64;
 
     // Move queued questions into free virtual servers at time `t`.
@@ -356,13 +214,10 @@ fn event_loop(
                 let Some(idx) = queue.pop_front() else { break };
                 busy += 1;
                 let deadline_abs = offered.arrivals[idx].at_ms.saturating_add(scfg.deadline_ms);
-                let seq = next_seq;
-                next_seq += 1;
                 if $t >= deadline_abs {
                     done.insert(
-                        seq,
+                        idx,
                         Finished {
-                            offered: idx,
                             started_ms: $t,
                             answer: best_effort_answer(&[]),
                             degradation: vec!["deadline:expired-in-queue".into()],
@@ -371,20 +226,11 @@ fn event_loop(
                             panicked: false,
                         },
                     );
-                    heap.push(Reverse(($t + MIN_SERVICE_MS, seq)));
+                    heap.push(Reverse(($t + MIN_SERVICE_MS, idx)));
                 } else {
-                    in_flight.insert(
-                        seq,
-                        InFlight {
-                            offered: idx,
-                            started_ms: $t,
-                        },
-                    );
-                    board.push(Job {
-                        seq,
-                        offered: idx,
-                        budget_ms: deadline_abs - $t,
-                    });
+                    in_flight.insert(idx, $t);
+                    jobs.send((idx, deadline_abs - $t))
+                        .expect("the pool holds the job receiver");
                 }
             }
         };
@@ -397,7 +243,7 @@ fn event_loop(
 
     loop {
         // Absorb whatever results already arrived, without blocking.
-        while let Ok(r) = rx.try_recv() {
+        while let Ok(r) = answers.try_recv() {
             absorb(r, &mut in_flight, &mut heap, &mut done, questions, offered);
         }
         // Pick the next event, blocking for in-flight results whenever
@@ -416,10 +262,7 @@ fn event_loop(
                 (None, Some(ta)) => Some((ta, Event::Arrival)),
                 (None, None) => None,
             };
-            let unknown_bound = in_flight
-                .values()
-                .map(|f| f.started_ms + MIN_SERVICE_MS)
-                .min();
+            let unknown_bound = in_flight.values().map(|&s| s + MIN_SERVICE_MS).min();
             match (&known, unknown_bound) {
                 (None, None) => break None,
                 (None, Some(_)) => {}
@@ -427,21 +270,21 @@ fn event_loop(
                 (Some(_), _) => break known,
             }
             // An in-flight job might finish first: wait for a result.
-            let r = rx.recv().expect("every worker thread died");
+            let r = answers.recv().expect("every worker thread died");
             absorb(r, &mut in_flight, &mut heap, &mut done, questions, offered);
         };
         let Some((t, event)) = event else { break };
         now = t;
         match event {
             Event::Completion => {
-                let Reverse((_, seq)) = heap.pop().expect("peeked completion vanished");
-                let f = done.remove(&seq).expect("completion without a result");
+                let Reverse((_, idx)) = heap.pop().expect("peeked completion vanished");
+                let f = done.remove(&idx).expect("completion without a result");
                 busy -= 1;
                 // Service-level health signal: transport-exhausted
                 // degradation (or a panic) is a failure; deadline
                 // degradation is load, not fault, and does not count.
                 let ok = !f.panicked && f.degradation.iter().all(|d| d.starts_with("deadline:"));
-                if probe_offered == Some(f.offered) {
+                if probe_offered == Some(idx) {
                     // The recovery probe only closes the breaker if it
                     // actually exercised the transport: a probe that
                     // expired in the queue proves nothing.
@@ -451,9 +294,9 @@ fn event_loop(
                 } else if breaker.state() == BreakerState::Closed {
                     breaker.on_result(now, ok);
                 }
-                let arrival = &offered.arrivals[f.offered];
-                outcomes[f.offered] = Some(Outcome {
-                    offered: f.offered,
+                let arrival = &offered.arrivals[idx];
+                outcomes[idx] = Some(Outcome {
+                    offered: idx,
                     qid: questions[arrival.question].id.clone(),
                     arrival_ms: arrival.at_ms,
                     disposition: Disposition::Answered {
@@ -640,6 +483,60 @@ mod tests {
         assert_eq!(a.breaker_transitions, b.breaker_transitions);
         assert_eq!(a.identity_key(), b.identity_key());
         assert_eq!(a.identity_key(), c.identity_key());
+    }
+
+    /// Records the thread of every model call.
+    struct ThreadLog {
+        inner: SimLlm,
+        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl LanguageModel for ThreadLog {
+        fn name(&self) -> &str {
+            "thread-log"
+        }
+        fn complete(&self, prompt: &str, task: &LlmTask<'_>) -> Result<Completion, LlmError> {
+            self.threads
+                .lock()
+                .expect("no panic while holding")
+                .insert(std::thread::current().id());
+            self.inner.complete(prompt, task)
+        }
+        fn call_count(&self) -> usize {
+            self.inner.call_count()
+        }
+        fn tokens_processed(&self) -> usize {
+            self.inner.tokens_processed()
+        }
+    }
+
+    #[test]
+    fn no_more_workers_serve_than_virtual_servers() {
+        let fx = fixture(8, 39);
+        let llm = ThreadLog {
+            inner: SimLlm::new(fx.world.clone(), ModelProfile::gpt35_sim()),
+            threads: Default::default(),
+        };
+        let offered = OfferedTrace::poisson(13, 12.0, 32, fx.questions.len());
+        let scfg = ServeConfig {
+            workers: 8,
+            virtual_servers: 2,
+            queue_cap: 32,
+            ..Default::default()
+        };
+        let r = serve(
+            &llm,
+            &fx.src,
+            &fx.base,
+            &fx.emb,
+            &fx.cfg,
+            &scfg,
+            &fx.questions,
+            &offered,
+        );
+        assert_eq!(r.answered(), 32);
+        let threads = llm.threads.lock().expect("no panic while holding").len();
+        assert!(threads <= 2, "{threads} threads served 2 virtual servers");
     }
 
     #[test]

@@ -55,8 +55,10 @@ pub struct ServeConfig {
     /// Virtual ms a tripped breaker sheds arrivals before admitting a
     /// half-open probe.
     pub breaker_cooldown_ms: u64,
-    /// Real worker threads (0 ⇒ available parallelism). Outcomes are
-    /// identical for any value; only wall-clock changes.
+    /// Real worker threads (0 ⇒ available parallelism), never more
+    /// than `virtual_servers`, since no more questions than that are in
+    /// service at once. Outcomes are identical for any value; only
+    /// wall-clock changes.
     pub workers: usize,
 }
 

@@ -103,11 +103,6 @@ impl Embedder {
         self
     }
 
-    /// Whether an IDF model is attached.
-    pub fn has_idf(&self) -> bool {
-        self.idf.is_some()
-    }
-
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
         self.cfg.dim
@@ -185,11 +180,6 @@ impl Embedder {
         let mut v = vec![0.0f32; self.cfg.dim];
         self.encode_impl(text, false, &mut v);
         v
-    }
-
-    /// Encode a batch of texts.
-    pub fn encode_batch<'a, I: IntoIterator<Item = &'a str>>(&self, texts: I) -> Vec<Vector> {
-        texts.into_iter().map(|t| self.encode(t)).collect()
     }
 
     fn add_feature(&self, v: &mut [f32], feature: &str, weight: f32) {
@@ -415,7 +405,6 @@ mod tests {
         ));
         let plain = Embedder::default();
         let weighted = Embedder::default().with_idf(idf);
-        assert!(weighted.has_idf());
         // A mixed document: rare-token overlap must dominate
         // common-token overlap once IDF weighting is on.
         let doc = "mystery instance of person born Rareville";
@@ -506,13 +495,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let e = emb();
-        let batch = e.encode_batch(["a b", "c d"]);
-        assert_eq!(batch[0], e.encode("a b"));
-        assert_eq!(batch[1], e.encode("c d"));
     }
 }

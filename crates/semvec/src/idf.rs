@@ -16,7 +16,6 @@ pub struct IdfModel {
     weights: FxHashMap<u64, f32>,
     /// Weight for unseen tokens (the maximum observed, i.e. rarest).
     default: f32,
-    docs: usize,
 }
 
 impl IdfModel {
@@ -52,7 +51,6 @@ impl IdfModel {
         Self {
             weights,
             default: max_w,
-            docs: n_docs,
         }
     }
 
@@ -67,16 +65,6 @@ impl IdfModel {
     /// The weight of a canonical token string.
     pub fn weight(&self, canonical_token: &str) -> f32 {
         self.weight_of_hash(stable_str_hash(canonical_token))
-    }
-
-    /// Number of documents the model was fitted on.
-    pub fn doc_count(&self) -> usize {
-        self.docs
-    }
-
-    /// Number of distinct tokens seen.
-    pub fn vocab_size(&self) -> usize {
-        self.weights.len()
     }
 }
 
@@ -110,16 +98,8 @@ mod tests {
     }
 
     #[test]
-    fn counts_are_tracked() {
-        let m = model();
-        assert_eq!(m.doc_count(), 5);
-        assert!(m.vocab_size() >= 8);
-    }
-
-    #[test]
     fn empty_fit_is_usable() {
         let m = IdfModel::fit(std::iter::empty(), &SynonymTable::builtin());
-        assert_eq!(m.doc_count(), 0);
         assert!(m.weight("anything") >= 1.0);
     }
 

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the LLM transport.
 //!
 //! [`FaultyLlm`] wraps any [`LanguageModel`] and injects the
-//! [`LlmError`] taxonomy at configurable per-task rates. Every draw is
+//! [`LlmError`] taxonomy at configurable rates. Every draw is
 //! keyed on `(plan seed, question id, task kind, sample index, attempt)`
 //! through the same stable hashing the rest of the workspace uses, so a
 //! fault schedule is a pure function of the seed and the requests made
@@ -75,18 +75,15 @@ pub struct Storm {
     pub rates: FaultRates,
 }
 
-/// A reproducible fault schedule: seed, default rates, optional
-/// per-task-kind overrides (task kinds as in [`LlmTask::kind`]), and
-/// an optional question-keyed [`Storm`].
+/// A reproducible fault schedule: seed, default rates, and an optional
+/// question-keyed [`Storm`].
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Schedule seed; same seed ⇒ same faults for the same requests.
     pub seed: u64,
-    /// Rates applied to tasks without an override.
+    /// Rates applied to every question outside the storm.
     pub default: FaultRates,
-    /// `(task kind, rates)` overrides, first match wins.
-    pub per_task: Vec<(String, FaultRates)>,
-    /// Optional storm; members use its rates ahead of any override.
+    /// Optional storm; members use its rates instead of the default.
     pub storm: Option<Storm>,
 }
 
@@ -96,7 +93,6 @@ impl FaultPlan {
         Self {
             seed,
             default: FaultRates::none(),
-            per_task: Vec::new(),
             storm: None,
         }
     }
@@ -107,7 +103,6 @@ impl FaultPlan {
         Self {
             seed,
             default: FaultRates::uniform(total),
-            per_task: Vec::new(),
             storm: None,
         }
     }
@@ -117,12 +112,6 @@ impl FaultPlan {
     /// clean. The serving soak uses this as its bursty-weather arm.
     pub fn storm(seed: u64, frac: f64, storm_total: f64) -> Self {
         Self::none(seed).with_storm(frac, FaultRates::uniform(storm_total))
-    }
-
-    /// Override the rates for one task kind.
-    pub fn with_task_rates(mut self, kind: &str, rates: FaultRates) -> Self {
-        self.per_task.push((kind.to_string(), rates));
-        self
     }
 
     /// Add a question-keyed storm (see [`Storm`]).
@@ -141,15 +130,11 @@ impl FaultPlan {
         }
     }
 
-    fn rates_for(&self, qid: &str, kind: &str) -> &FaultRates {
+    fn rates_for(&self, qid: &str) -> &FaultRates {
         if self.in_storm(qid) {
             return &self.storm.as_ref().expect("in_storm implies storm").rates;
         }
-        self.per_task
-            .iter()
-            .find(|(k, _)| k == kind)
-            .map(|(_, r)| r)
-            .unwrap_or(&self.default)
+        &self.default
     }
 }
 
@@ -218,7 +203,7 @@ impl<M: LanguageModel> LanguageModel for FaultyLlm<M> {
         };
         let key = mix2(mix2(self.plan.seed, slot), 0xFA17_0000 + attempt as u64);
         let u = unit_f64(key);
-        let r = self.plan.rates_for(&task.question().id, kind);
+        let r = self.plan.rates_for(&task.question().id);
         let mut edge = r.timeout;
         if u < edge {
             self.record();
@@ -359,7 +344,6 @@ mod tests {
                 truncated: 1.0,
                 empty: 0.0,
             },
-            per_task: Vec::new(),
             storm: None,
         };
         let faulty = FaultyLlm::new(sim(&world), plan);
@@ -375,18 +359,6 @@ mod tests {
                 other => panic!("expected truncation, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn per_task_overrides_apply() {
-        let (world, ds) = fixture();
-        let plan = FaultPlan::none(11).with_task_rates("pseudo-graph", FaultRates::uniform(1.0));
-        let faulty = FaultyLlm::new(sim(&world), plan);
-        let q = &ds.questions[0];
-        assert!(faulty.complete("p", &LlmTask::Cot { question: q }).is_ok());
-        assert!(faulty
-            .complete("p", &LlmTask::PseudoGraph { question: q })
-            .is_err());
     }
 
     #[test]
@@ -453,11 +425,9 @@ mod tests {
     }
 
     #[test]
-    fn storm_takes_precedence_over_task_overrides() {
+    fn storm_takes_precedence_over_default_rates() {
         let (world, ds) = fixture();
-        let plan = FaultPlan::none(23)
-            .with_task_rates("io", FaultRates::uniform(1.0))
-            .with_storm(1.0, FaultRates::none());
+        let plan = FaultPlan::uniform(23, 1.0).with_storm(1.0, FaultRates::none());
         let faulty = FaultyLlm::new(sim(&world), plan);
         // Everyone is in the storm, and the storm says: clean.
         let q = &ds.questions[0];
